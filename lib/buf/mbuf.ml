@@ -41,16 +41,14 @@ let release pool m =
   if m.cluster then Pool.release_cluster pool m.data
   else Pool.release_small pool m.data
 
-let free pool m =
-  let rec go = function
-    | None -> ()
-    | Some m ->
-      let next = m.next in
-      m.next <- None;
-      release pool m;
-      go next
-  in
-  go (Some m)
+(* The chain walkers below recurse on the mbuf itself and match on the
+   stored [next] field, so a walk allocates nothing (starting from
+   [Some m] would box the head on every call). *)
+let rec free pool m =
+  let next = m.next in
+  m.next <- None;
+  release pool m;
+  match next with None -> () | Some n -> free pool n
 
 let capacity m = Bytes.length m.data
 
@@ -62,25 +60,22 @@ let seg_data m = m.data
 
 let seg_off m = m.off
 
-let length m =
-  let rec go acc = function
-    | None -> acc
-    | Some m -> go (acc + m.len) m.next
-  in
-  go 0 (Some m)
+let seg_len m = m.len
+
+let next m = m.next
+
+let rec length_from acc m =
+  match m.next with None -> acc + m.len | Some n -> length_from (acc + m.len) n
+
+let length m = length_from 0 m
 
 let nsegs m =
   let rec go acc = function None -> acc | Some m -> go (acc + 1) m.next in
   go 0 (Some m)
 
-let iter_segments m f =
-  let rec go = function
-    | None -> ()
-    | Some m ->
-      if m.len > 0 then f m.data m.off m.len;
-      go m.next
-  in
-  go (Some m)
+let rec iter_segments m f =
+  if m.len > 0 then f m.data m.off m.len;
+  match m.next with None -> () | Some n -> iter_segments n f
 
 let last m =
   let rec go m = match m.next with None -> m | Some n -> go n in
@@ -149,57 +144,50 @@ let prepend m n =
   end
   else invalid "prepend: no leading space for %d bytes (have %d)" n m.off
 
-let adj m n =
-  if n >= 0 then begin
-    (* Trim from front. *)
-    let rec go n = function
-      | None -> if n > 0 then invalid "adj: trim %d beyond length" n
-      | Some m ->
-        let take = min n m.len in
-        m.off <- m.off + take;
-        m.len <- m.len - take;
-        if n - take > 0 then go (n - take) m.next
-    in
-    go n (Some m)
-  end
+(* Trim [n] bytes from the front of the chain. *)
+let rec trim_front m n =
+  let take = min n m.len in
+  m.off <- m.off + take;
+  m.len <- m.len - take;
+  if n - take > 0 then
+    match m.next with
+    | None -> invalid "adj: trim %d beyond length" (n - take)
+    | Some next -> trim_front next (n - take)
+
+(* Keep the first [keep] bytes; every segment after that is emptied. *)
+let rec trim_back m keep =
+  if keep >= m.len then
+    match m.next with None -> () | Some n -> trim_back n (keep - m.len)
   else begin
-    (* Trim from back. *)
+    m.len <- keep;
+    match m.next with None -> () | Some n -> trim_back n 0
+  end
+
+let adj m n =
+  if n >= 0 then trim_front m n
+  else begin
     let n = -n in
     let total = length m in
     if n > total then invalid "adj: trim %d beyond length %d" n total;
-    let keep = total - n in
-    let rec go remaining = function
-      | None -> ()
-      | Some m ->
-        if remaining >= m.len then go (remaining - m.len) m.next
-        else begin
-          m.len <- remaining;
-          (* Everything after this segment is logically empty. *)
-          let rec zero = function
-            | None -> ()
-            | Some m ->
-              m.len <- 0;
-              zero m.next
-          in
-          zero m.next
-        end
-    in
-    go keep (Some m)
+    trim_back m (total - n)
   end
+
+let rec blit_from m pos dst dst_off len =
+  if pos >= m.len then blit_next m (pos - m.len) dst dst_off len
+  else begin
+    let n = min len (m.len - pos) in
+    Bytes.blit m.data (m.off + pos) dst dst_off n;
+    if len - n > 0 then blit_next m 0 dst (dst_off + n) (len - n)
+  end
+
+and blit_next m pos dst dst_off len =
+  match m.next with
+  | None -> if len > 0 then invalid "blit_to_bytes: range beyond end"
+  | Some n -> blit_from n pos dst dst_off len
 
 let blit_to_bytes m ~pos ~(dst : bytes) ~dst_off ~len =
   if pos < 0 || len < 0 then invalid "blit_to_bytes: bad range";
-  let rec go pos dst_off len = function
-    | None -> if len > 0 then invalid "blit_to_bytes: range beyond end"
-    | Some m ->
-      if pos >= m.len then go (pos - m.len) dst_off len m.next
-      else begin
-        let n = min len (m.len - pos) in
-        Bytes.blit m.data (m.off + pos) dst dst_off n;
-        if len - n > 0 then go 0 (dst_off + n) (len - n) m.next
-      end
-  in
-  go pos dst_off len (Some m)
+  if len > 0 then blit_from m pos dst dst_off len
 
 let copy_out m ~pos ~len =
   let out = Bytes.create len in

@@ -71,6 +71,14 @@ val seg_data : t -> bytes
 val seg_off : t -> int
 (** Offset of the first payload byte inside {!seg_data}. *)
 
+val seg_len : t -> int
+(** Payload bytes held by the head mbuf alone (possibly 0). *)
+
+val next : t -> t option
+(** The rest of the chain after the head mbuf.  Returns the stored link,
+    so walking a chain with [seg_data]/[seg_off]/[seg_len]/[next]
+    allocates nothing. *)
+
 val get_byte : t -> int -> int
 (** Byte at logical offset, walking the chain. *)
 

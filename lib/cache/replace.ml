@@ -37,6 +37,13 @@ let sets t = t.sets
 
 let ways t = t.ways
 
+(* Way of [key] in the set starting at [base], or -1.  Top-level, so a
+   probe allocates no closure. *)
+let rec find_way t base key i =
+  if i >= t.ways then -1
+  else if t.tags.(base + i) = key then i
+  else find_way t base key (i + 1)
+
 let access t key =
   let set = key land t.mask in
   if t.ways = 1 then begin
@@ -51,12 +58,7 @@ let access t key =
   end
   else begin
     let base = set * t.ways in
-    let rec find i =
-      if i >= t.ways then -1
-      else if t.tags.(base + i) = key then i
-      else find (i + 1)
-    in
-    let i = find 0 in
+    let i = find_way t base key 0 in
     if i >= 0 then begin
       (* Hit in way [i]: rotate ways [0..i] so [key] lands at the MRU
          position.  For [i = 0] the rotation is empty — an MRU hit costs

@@ -30,11 +30,13 @@ module Mac = struct
 
   (* Compare against 6 raw bytes in place — the hot receive path's
      address filter must not extract a substring per frame. *)
+  let rec equal_from t b off i =
+    i >= 6
+    || Bytes.unsafe_get b (off + i) = String.unsafe_get t i
+       && equal_from t b off (i + 1)
+
   let equal_at t b off =
-    let rec go i =
-      i >= 6 || (Bytes.get b (off + i) = String.unsafe_get t i && go (i + 1))
-    in
-    off >= 0 && off + 6 <= Bytes.length b && go 0
+    off >= 0 && off + 6 <= Bytes.length b && equal_from t b off 0
 
   let is_broadcast_at b off = equal_at broadcast b off
 

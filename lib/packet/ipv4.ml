@@ -50,7 +50,7 @@ let parse ?(verify_checksum = true) buf off len =
     else begin
       let total_length = get16 buf (off + 2) in
       if total_length < ihl * 4 then Error (`Bad_field "total_length < header")
-      else if verify_checksum && Cksum.simple buf off (ihl * 4) <> 0 then
+      else if verify_checksum && Cksum.unrolled buf off (ihl * 4) <> 0 then
         Error `Bad_checksum
       else begin
         let frag = get16 buf (off + 6) in
@@ -89,7 +89,7 @@ let build h buf off =
   set16 buf (off + 10) 0;
   Addr.Ipv4.write h.src buf (off + 12);
   Addr.Ipv4.write h.dst buf (off + 16);
-  set16 buf (off + 10) (Cksum.simple buf off header_bytes)
+  set16 buf (off + 10) (Cksum.unrolled buf off header_bytes)
 
 let is_fragment h = h.more_fragments || h.fragment_offset > 0
 
@@ -110,9 +110,12 @@ let ttl_at buf off = Char.code (Bytes.get buf (off + 8))
 
 let protocol_at buf off = Char.code (Bytes.get buf (off + 9))
 
-let src_at buf off = Addr.Ipv4.of_bytes buf (off + 12)
+(* Direct loads rather than [Addr.Ipv4.of_bytes] (whose range check
+   keeps it from being inlined), so comparing an address read here
+   leaves the [int32] unboxed. *)
+let src_at buf off = Addr.Ipv4.of_int32 (Bytes.get_int32_be buf (off + 12))
 
-let dst_at buf off = Addr.Ipv4.of_bytes buf (off + 16)
+let dst_at buf off = Addr.Ipv4.of_int32 (Bytes.get_int32_be buf (off + 16))
 
 let check_at ?(verify_checksum = true) buf off len =
   if len < header_bytes then Error (`Too_short len)
@@ -124,9 +127,9 @@ let check_at ?(verify_checksum = true) buf off len =
     else if len < ihl * 4 then Error (`Too_short len)
     else if total_length_at buf off < ihl * 4 then
       Error (`Bad_field "total_length < header")
-    else if verify_checksum && Cksum.simple buf off (ihl * 4) <> 0 then
+    else if verify_checksum && Cksum.unrolled buf off (ihl * 4) <> 0 then
       Error `Bad_checksum
-    else Ok (off + (ihl * 4))
+    else Ok ()
   end
 
 let write ~tos ~total_length ~ident ~dont_fragment ~more_fragments
@@ -146,7 +149,7 @@ let write ~tos ~total_length ~ident ~dont_fragment ~more_fragments
   set16 buf (off + 10) 0;
   Addr.Ipv4.write src buf (off + 12);
   Addr.Ipv4.write dst buf (off + 16);
-  set16 buf (off + 10) (Cksum.simple buf off header_bytes)
+  set16 buf (off + 10) (Cksum.unrolled buf off header_bytes)
 
 let strip ?verify_checksum m =
   let len = Ldlp_buf.Mbuf.length m in

@@ -51,10 +51,11 @@ val is_fragment : header -> bool
     equivalent to the record API in the test suite. *)
 
 val check_at :
-  ?verify_checksum:bool -> bytes -> int -> int -> (int, error) result
+  ?verify_checksum:bool -> bytes -> int -> int -> (unit, error) result
 (** [check_at buf off len] validates like {!parse} (version, header
-    length, total length, checksum) and returns the payload offset
-    without building a [header]. *)
+    length, total length, checksum) without building a [header].  A
+    valid header allocates nothing; its payload starts
+    [4 * ihl_at buf off] bytes in. *)
 
 val ihl_at : bytes -> int -> int
 

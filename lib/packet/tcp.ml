@@ -87,7 +87,7 @@ let check_at buf off len =
     let data_offset = data_offset_at buf off in
     if data_offset < 5 then Error (`Bad_field "data_offset < 5")
     else if len < data_offset * 4 then Error (`Too_short len)
-    else Ok (off + (data_offset * 4))
+    else Ok ()
   end
 
 let write ~src_port ~dst_port ~seq ~ack ~data_offset ~flags ~window ~urgent buf
@@ -113,24 +113,31 @@ let build h buf off =
   set16 buf (off + 16) 0;
   set16 buf (off + 18) h.urgent
 
+(* Complemented sum of the pseudo-header and a segment's partial sum. *)
+let segment_sum ~src ~dst ~len part =
+  Cksum.finish
+    (Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_tcp ~len + part)
+
 let checksum ~src ~dst buf off len =
-  let pseudo = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_tcp ~len in
-  Cksum.finish (pseudo + Cksum.partial buf off len)
+  segment_sum ~src ~dst ~len (Cksum.partial buf off len)
 
 let verify_checksum ~src ~dst m =
-  let len = Ldlp_buf.Mbuf.length m in
-  let pseudo = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_tcp ~len in
-  (* finish(pseudo + segment) must be zero; compute via a flat copy of the
-     pseudo-header plus the chain sum. *)
-  let seg = Cksum.simple_chain m in
-  (* simple_chain already complements; undo to combine raw sums. *)
-  let seg_raw = lnot seg land 0xFFFF in
-  Cksum.finish (pseudo + seg_raw) = 0
+  segment_sum ~src ~dst ~len:(Ldlp_buf.Mbuf.length m) (Cksum.partial_chain m)
+  = 0
 
 let store_checksum ~src ~dst buf off len =
   set16 buf (off + 16) 0;
   let c = checksum ~src ~dst buf off len in
   set16 buf (off + 16) c
+
+let store_chain_checksum ~src ~dst m =
+  if not (Ldlp_buf.Mbuf.contiguous m header_bytes) then
+    invalid_arg "Tcp.store_chain_checksum: header not in the head mbuf";
+  let buf = Ldlp_buf.Mbuf.seg_data m and off = Ldlp_buf.Mbuf.seg_off m in
+  set16 buf (off + 16) 0;
+  set16 buf (off + 16)
+    (segment_sum ~src ~dst ~len:(Ldlp_buf.Mbuf.length m)
+       (Cksum.partial_chain m))
 
 let seq_diff a b = Int32.to_int (Int32.sub a b)
 

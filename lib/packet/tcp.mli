@@ -51,10 +51,11 @@ val build : header -> bytes -> int -> unit
     built.  Property-tested byte-for-byte equivalent to the record API
     in the test suite. *)
 
-val check_at : bytes -> int -> int -> (int, error) result
-(** [check_at buf off len] validates the header at [off] the way
-    {!parse} does (length, data-offset sanity) and returns the payload
-    offset, without building a [header]. *)
+val check_at : bytes -> int -> int -> (unit, error) result
+(** [check_at buf off len] validates the header at [off] of a [len]-byte
+    segment the way {!parse} does (length, data-offset sanity), without
+    building a [header].  A valid header allocates nothing; its payload
+    starts [4 * data_offset_at buf off] bytes in. *)
 
 val src_port_at : bytes -> int -> int
 
@@ -98,6 +99,12 @@ val verify_checksum :
 
 val store_checksum : src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> bytes -> int -> int -> unit
 (** Compute and store the checksum of the segment at [off..off+len). *)
+
+val store_chain_checksum :
+  src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Ldlp_buf.Mbuf.t -> unit
+(** Compute and store the checksum of the segment held in a chain, whose
+    20-byte header must lie in the head mbuf (raises [Invalid_argument]
+    otherwise).  The chain is summed in place, without linearising. *)
 
 (** Modular 32-bit sequence comparison (RFC 793 arithmetic). *)
 

@@ -28,7 +28,12 @@ type t = {
   gateway_mac : Pkt.Addr.Mac.t;
   pcbs : Pcb.table;
   reasm : Pkt.Reasm.t option;
-  mutable c : counters;
+  mutable frames_in : int;
+  mutable non_ip : int;
+  mutable non_tcp : int;
+  mutable bad_ip : int;
+  mutable delivered_bytes : int;
+  mutable retransmits : int;
   mutable ident : int;
   mutable timers : timers option;
   (* Scalar mirrors of [counters] on an attached metric sheet (dummy refs
@@ -54,15 +59,12 @@ let create ~pool ?msg_pool ~mac ~ip ?(gateway_mac = Pkt.Addr.Mac.broadcast)
     gateway_mac;
     pcbs = Pcb.create_table ();
     reasm = (if reassemble then Some (Pkt.Reasm.create ()) else None);
-    c =
-      {
-        frames_in = 0;
-        non_ip = 0;
-        non_tcp = 0;
-        bad_ip = 0;
-        delivered_bytes = 0;
-        retransmits = 0;
-      };
+    frames_in = 0;
+    non_ip = 0;
+    non_tcp = 0;
+    bad_ip = 0;
+    delivered_bytes = 0;
+    retransmits = 0;
     ident = 0;
     timers = None;
     frames_in_sc = sc "frames_in";
@@ -81,13 +83,21 @@ let table t = t.pcbs
 
 let ip t = t.my_ip
 
-let counters t = t.c
+let counters t : counters =
+  {
+    frames_in = t.frames_in;
+    non_ip = t.non_ip;
+    non_tcp = t.non_tcp;
+    bad_ip = t.bad_ip;
+    delivered_bytes = t.delivered_bytes;
+    retransmits = t.retransmits;
+  }
 
-(* Headers are written with the cursor writers straight into the chain's
-   leading space — no scratch header buffer, no header records — and are
-   byte-identical to what the [encapsulate] record path produced. *)
-let build_frame t ~dst_ip segment =
-  let m = Mbuf.of_bytes t.pool segment in
+(* Headers are written with the cursor writers straight into the leading
+   space of the segment chain [Tcp_output.segment] built — no scratch
+   header buffer, no header records — and are byte-identical to what the
+   [encapsulate] record path produced. *)
+let build_frame t ~dst_ip m =
   t.ident <- (t.ident + 1) land 0xFFFF;
   let total_length = Mbuf.length m + Pkt.Ipv4.header_bytes in
   let m = Mbuf.prepend m Pkt.Ipv4.header_bytes in
@@ -101,13 +111,11 @@ let build_frame t ~dst_ip segment =
   m
 
 let reply_frame t (r : Tcp_input.reply) =
-  let segment =
-    Tcp_output.build ~src:t.my_ip ~dst:r.Tcp_input.dst
-      ~src_port:r.Tcp_input.src_port ~dst_port:r.Tcp_input.dst_port
-      ~seq:r.Tcp_input.seq ~ack:r.Tcp_input.ack ~flags:r.Tcp_input.flags
-      ~window:r.Tcp_input.window ()
-  in
-  build_frame t ~dst_ip:r.Tcp_input.dst segment
+  build_frame t ~dst_ip:r.Tcp_input.dst
+    (Tcp_output.segment t.pool ~src:t.my_ip ~dst:r.Tcp_input.dst
+       ~src_port:r.Tcp_input.src_port ~dst_port:r.Tcp_input.dst_port
+       ~seq:r.Tcp_input.seq ~ack:r.Tcp_input.ack ~flags:r.Tcp_input.flags
+       ~window:r.Tcp_input.window ())
 
 (* ---------- loss recovery (only active once timers are attached) ---------- *)
 
@@ -124,8 +132,8 @@ let seg_frame t (pcb : Pcb.t) (s : Pcb.seg) =
   | Some (rip, rport) ->
     let has_ack = s.Pcb.seg_flags land Pkt.Tcp.flag_ack <> 0 in
     let segment =
-      Tcp_output.build ~src:t.my_ip ~dst:rip ~src_port:pcb.Pcb.local_port
-        ~dst_port:rport ~seq:s.Pcb.seg_seq
+      Tcp_output.segment t.pool ~src:t.my_ip ~dst:rip
+        ~src_port:pcb.Pcb.local_port ~dst_port:rport ~seq:s.Pcb.seg_seq
         ~ack:(if has_ack then pcb.Pcb.rcv_nxt else 0l)
         ~flags:s.Pcb.seg_flags
         ~window:(Sockbuf.space pcb.Pcb.sockbuf)
@@ -134,7 +142,7 @@ let seg_frame t (pcb : Pcb.t) (s : Pcb.seg) =
     Some (build_frame t ~dst_ip:rip segment)
 
 let count_retransmit t =
-  t.c <- { t.c with retransmits = t.c.retransmits + 1 };
+  t.retransmits <- t.retransmits + 1;
   Metrics.add_scalar t.retransmits_sc 1
 
 let retransmit_seg t pcb (s : Pcb.seg) ~now =
@@ -198,7 +206,7 @@ let arm_delack t (pcb : Pcb.t) =
                     || pcb.Pcb.state = Pcb.Close_wait) ->
             pcb.Pcb.delayed_ack <- 0;
             let segment =
-              Tcp_output.build ~src:t.my_ip ~dst:rip
+              Tcp_output.segment t.pool ~src:t.my_ip ~dst:rip
                 ~src_port:pcb.Pcb.local_port ~dst_port:rport
                 ~seq:pcb.Pcb.snd_nxt ~ack:pcb.Pcb.rcv_nxt
                 ~flags:Pkt.Tcp.flag_ack
@@ -240,6 +248,44 @@ let recovery_frames t (pcb : Pcb.t) ~now =
     arm_delack t pcb;
     fast
 
+(* Outbound frames draw their message from the host's pool when one is
+   attached (released again at the wire/consume sinks); without a pool,
+   the pre-pooling copy-on-write behavior. *)
+let send_down t (msg : item Core.Msg.t) frame =
+  let item = { buf = frame; src_ip = t.my_ip } in
+  let size = Mbuf.length frame in
+  Core.Layer.Send_down
+    (match t.msg_pool with
+    | Some mp -> Core.Msg.acquire mp ~arrival:msg.Core.Msg.arrival ~size item
+    | None -> Core.Msg.with_payload msg item ~size)
+
+let reply_down t msg (o : Tcp_input.outcome) (r : Tcp_input.reply) =
+  (* A SYN-bearing reply (the SYN-ACK) consumes sequence space and must
+     survive loss like data does. *)
+  (if r.Tcp_input.flags land Pkt.Tcp.flag_syn <> 0 then
+     match o.Tcp_input.pcb with
+     | Some pcb ->
+       track_tx t pcb ~seq:r.Tcp_input.seq ~flags:r.Tcp_input.flags Bytes.empty
+     | None -> ());
+  send_down t msg (reply_frame t r)
+
+(* The frames a processed segment sends down: its replies in order, then
+   the loss-recovery frames.  Each reply is framed before the next, and
+   all before the recovery hook runs, so frame idents keep their order. *)
+let rec reply_actions t msg o = function
+  | [] -> recovery_actions t msg o
+  | r :: rest ->
+    let down = reply_down t msg o r in
+    down :: reply_actions t msg o rest
+
+and recovery_actions t msg (o : Tcp_input.outcome) =
+  match o.Tcp_input.pcb with
+  | None -> []
+  | Some pcb -> (
+    match recovery_frames t pcb ~now:msg.Core.Msg.arrival with
+    | [] -> []
+    | frames -> List.map (fun frame -> send_down t msg frame) frames)
+
 let layers t =
   let consume_bad m =
     Mbuf.free t.pool m;
@@ -249,7 +295,7 @@ let layers t =
     Core.Layer.v ~name:"ether"
       ~fp:(Core.Layer.footprint ~code_bytes:4480 ~data_bytes:864 ())
       (fun msg ->
-        t.c <- { t.c with frames_in = t.c.frames_in + 1 };
+        t.frames_in <- t.frames_in + 1;
         Metrics.add_scalar t.frames_in_sc 1;
         let m = msg.Core.Msg.payload.buf in
         if Mbuf.contiguous m Pkt.Ethernet.header_bytes then begin
@@ -266,7 +312,7 @@ let layers t =
             Core.Layer.up_only
           end
           else begin
-            t.c <- { t.c with non_ip = t.c.non_ip + 1 };
+            t.non_ip <- t.non_ip + 1;
             Metrics.add_scalar t.non_ip_sc 1;
             consume_bad m
           end
@@ -280,7 +326,7 @@ let layers t =
                     || Pkt.Addr.Mac.is_broadcast h.Pkt.Ethernet.dst) ->
             Core.Layer.up_only
           | Ok _ | Error _ ->
-            t.c <- { t.c with non_ip = t.c.non_ip + 1 };
+            t.non_ip <- t.non_ip + 1;
             Metrics.add_scalar t.non_ip_sc 1;
             consume_bad m)
   in
@@ -301,7 +347,7 @@ let layers t =
           let buf = Mbuf.seg_data m and off = Mbuf.seg_off m in
           Pkt.Ipv4.ihl_at buf off = 5
           && (match Pkt.Ipv4.check_at buf off Pkt.Ipv4.header_bytes with
-             | Ok _ -> true
+             | Ok () -> true
              | Error _ -> false)
           && Pkt.Ipv4.protocol_at buf off = Pkt.Ipv4.proto_tcp
           && Pkt.Ipv4.frag_at buf off land 0x3FFF = 0
@@ -344,15 +390,15 @@ let layers t =
             Core.Layer.up_only
           | Pkt.Reasm.Pending -> Core.Layer.consume_only
           | Pkt.Reasm.Rejected _ ->
-            t.c <- { t.c with bad_ip = t.c.bad_ip + 1 };
+            t.bad_ip <- t.bad_ip + 1;
             Metrics.add_scalar t.bad_ip_sc 1;
             Core.Layer.consume_only)
         | Ok h when h.Pkt.Ipv4.protocol <> Pkt.Ipv4.proto_tcp ->
-          t.c <- { t.c with non_tcp = t.c.non_tcp + 1 };
+          t.non_tcp <- t.non_tcp + 1;
           Metrics.add_scalar t.non_tcp_sc 1;
           consume_bad m
         | Ok _ | Error _ ->
-          t.c <- { t.c with bad_ip = t.c.bad_ip + 1 };
+          t.bad_ip <- t.bad_ip + 1;
           Metrics.add_scalar t.bad_ip_sc 1;
           consume_bad m)
   in
@@ -366,42 +412,13 @@ let layers t =
             ~src_ip:msg.Core.Msg.payload.src_ip ~pool:t.pool
             ~now:msg.Core.Msg.arrival m
         in
-        t.c <- { t.c with delivered_bytes = t.c.delivered_bytes + o.Tcp_input.delivered };
+        t.delivered_bytes <- t.delivered_bytes + o.Tcp_input.delivered;
         Metrics.add_scalar t.delivered_bytes_sc o.Tcp_input.delivered;
-        let send_down frame =
-          (* Outbound frames draw their message from the host's pool when
-             one is attached (released again at the wire/consume sinks);
-             without a pool, the pre-pooling copy-on-write behavior. *)
-          let item = { buf = frame; src_ip = t.my_ip } in
-          let size = Mbuf.length frame in
-          Core.Layer.Send_down
-            (match t.msg_pool with
-            | Some mp ->
-              Core.Msg.acquire mp ~arrival:msg.Core.Msg.arrival ~size item
-            | None -> Core.Msg.with_payload msg item ~size)
-        in
-        let downs =
-          List.map
-            (fun (r : Tcp_input.reply) ->
-              (* A SYN-bearing reply (the SYN-ACK) consumes sequence space
-                 and must survive loss like data does. *)
-              (if r.Tcp_input.flags land Pkt.Tcp.flag_syn <> 0 then
-                 match o.Tcp_input.pcb with
-                 | Some pcb ->
-                   track_tx t pcb ~seq:r.Tcp_input.seq ~flags:r.Tcp_input.flags
-                     Bytes.empty
-                 | None -> ());
-              send_down (reply_frame t r))
-            o.Tcp_input.replies
-        in
-        let recovery =
-          match o.Tcp_input.pcb with
-          | Some pcb ->
-            List.map send_down
-              (recovery_frames t pcb ~now:msg.Core.Msg.arrival)
-          | None -> []
-        in
-        Core.Layer.Consume :: (downs @ recovery))
+        (* Replies are framed before the recovery hook runs, so frame
+           idents keep their order. *)
+        match reply_actions t msg o o.Tcp_input.replies with
+        | [] -> Core.Layer.consume_only
+        | downs -> Core.Layer.Consume :: downs)
   in
   [ ether; ip_layer; tcp ]
 
@@ -436,7 +453,7 @@ let connect t ~dst:(dst_ip, dst_port) ~src_port =
   pcb.Pcb.snd_nxt <- Tcp_input.initial_send_seq;
   pcb.Pcb.snd_una <- Tcp_input.initial_send_seq;
   let segment =
-    Tcp_output.build ~src:t.my_ip ~dst:dst_ip ~src_port ~dst_port
+    Tcp_output.segment t.pool ~src:t.my_ip ~dst:dst_ip ~src_port ~dst_port
       ~seq:pcb.Pcb.snd_nxt ~ack:0l ~flags:Pkt.Tcp.flag_syn
       ~window:(Sockbuf.space pcb.Pcb.sockbuf) ()
   in
@@ -450,8 +467,9 @@ let send t (pcb : Pcb.t) payload =
     let seq = pcb.Pcb.snd_nxt in
     let flags = Pkt.Tcp.flag_ack lor Pkt.Tcp.flag_psh in
     let segment =
-      Tcp_output.build ~src:t.my_ip ~dst:rip ~src_port:pcb.Pcb.local_port
-        ~dst_port:rport ~seq ~ack:pcb.Pcb.rcv_nxt ~flags
+      Tcp_output.segment t.pool ~src:t.my_ip ~dst:rip
+        ~src_port:pcb.Pcb.local_port ~dst_port:rport ~seq ~ack:pcb.Pcb.rcv_nxt
+        ~flags
         ~window:(Sockbuf.space pcb.Pcb.sockbuf)
         ~payload ()
     in
@@ -466,11 +484,10 @@ let send t (pcb : Pcb.t) payload =
 
 let client_frame t ~src_ip ~src_port ~dst_port ~seq ~ack ~flags
     ?(payload = Bytes.empty) () =
-  let segment =
-    Tcp_output.build ~src:src_ip ~dst:t.my_ip ~src_port ~dst_port ~seq ~ack
-      ~flags ~window:8760 ~payload ()
+  let m =
+    Tcp_output.segment t.pool ~src:src_ip ~dst:t.my_ip ~src_port ~dst_port
+      ~seq ~ack ~flags ~window:8760 ~payload ()
   in
-  let m = Mbuf.of_bytes t.pool segment in
   let m =
     Pkt.Ipv4.encapsulate m
       {
@@ -504,7 +521,9 @@ let parse_tx t item =
       | Error _ -> None
       | Ok _ -> (
         let len = Mbuf.length m in
-        let hdr = Mbuf.copy_out m ~pos:0 ~len:(min len Pkt.Tcp.header_bytes) in
+        (* Up to the largest header (data offset 15 = 60 bytes), so a
+           segment carrying options parses too. *)
+        let hdr = Mbuf.copy_out m ~pos:0 ~len:(min len 60) in
         match Pkt.Tcp.parse hdr 0 (Bytes.length hdr) with
         | Error _ -> None
         | Ok (h, _) ->

@@ -53,8 +53,19 @@ type stats = {
 type table = {
   conns : (key, t) Flowtable.t;
   listeners : (int, t) Hashtbl.t;
-  mutable cache : (key * t) option;  (* the paper's single-entry PCB cache *)
-  mutable s : stats;
+  (* The paper's single-entry PCB cache: the last connection looked up,
+     under its key's scalar fields.  [cache] holds the option the flow
+     table returned, so a hit returns it and a refill allocates nothing. *)
+  mutable cache : t option;
+  mutable cache_port : int;
+  mutable cache_ip : int32;
+  mutable cache_rport : int;
+  mutable lookups : int;
+  mutable cache_hits : int;
+  mutable table_hits : int;
+  mutable misses : int;
+  mutable allocated : int;
+  mutable freed : int;
 }
 
 let create_table () =
@@ -65,15 +76,15 @@ let create_table () =
     conns = Flowtable.create ~buckets:64 ~name:"tcp-pcb" ();
     listeners = Hashtbl.create 8;
     cache = None;
-    s =
-      {
-        lookups = 0;
-        cache_hits = 0;
-        table_hits = 0;
-        misses = 0;
-        allocated = 0;
-        freed = 0;
-      };
+    cache_port = 0;
+    cache_ip = 0l;
+    cache_rport = 0;
+    lookups = 0;
+    cache_hits = 0;
+    table_hits = 0;
+    misses = 0;
+    allocated = 0;
+    freed = 0;
   }
 
 let fresh ~local_port ~state ?(hiwat = 16384) () =
@@ -100,80 +111,102 @@ let listen table ~port ?hiwat () =
     invalid_arg (Printf.sprintf "Pcb.listen: port %d already bound" port);
   let pcb = fresh ~local_port:port ~state:Listen ?hiwat () in
   Hashtbl.replace table.listeners port pcb;
-  table.s <- { table.s with allocated = table.s.allocated + 1 };
+  table.allocated <- table.allocated + 1;
   pcb
 
 let key ~local_port ~remote:(rip, rport) = (local_port, Ipv4.to_int32 rip, rport)
 
-let lookup table ~local_port ~remote =
-  table.s <- { table.s with lookups = table.s.lookups + 1 };
-  let k = key ~local_port ~remote in
+let cached table ~local_port ~rip ~rport =
+  table.cache_port = local_port
+  && Int32.equal table.cache_ip (Ipv4.to_int32 rip)
+  && table.cache_rport = rport
+
+let set_cache table ~local_port ~rip ~rport found =
+  table.cache <- found;
+  table.cache_port <- local_port;
+  table.cache_ip <- Ipv4.to_int32 rip;
+  table.cache_rport <- rport
+
+let find table ~local_port ~remote_ip:rip ~remote_port:rport =
+  table.lookups <- table.lookups + 1;
   match table.cache with
-  | Some (ck, pcb) when ck = k ->
-    table.s <- { table.s with cache_hits = table.s.cache_hits + 1 };
-    Some pcb
+  | Some _ as hit when cached table ~local_port ~rip ~rport ->
+    table.cache_hits <- table.cache_hits + 1;
+    hit
   | _ -> (
-    match Flowtable.lookup table.conns k with
-    | Some pcb ->
-      table.cache <- Some (k, pcb);
-      table.s <- { table.s with table_hits = table.s.table_hits + 1 };
-      Some pcb
+    match
+      Flowtable.lookup table.conns (local_port, Ipv4.to_int32 rip, rport)
+    with
+    | Some _ as found ->
+      set_cache table ~local_port ~rip ~rport found;
+      table.table_hits <- table.table_hits + 1;
+      found
     | None ->
       (* A listener match is still a connection-table miss: the segment
          took the slow path through demultiplexing. *)
-      table.s <- { table.s with misses = table.s.misses + 1 };
+      table.misses <- table.misses + 1;
       Hashtbl.find_opt table.listeners local_port)
+
+let lookup table ~local_port ~remote:(remote_ip, remote_port) =
+  find table ~local_port ~remote_ip ~remote_port
+
+let insert table ~local_port ~remote pcb =
+  let rip, rport = remote in
+  pcb.remote <- Some remote;
+  Flowtable.insert table.conns (key ~local_port ~remote) pcb;
+  set_cache table ~local_port ~rip ~rport (Some pcb);
+  table.allocated <- table.allocated + 1
 
 let insert_connection table ~listener ~remote =
   let pcb =
     fresh ~local_port:listener.local_port ~state:Syn_received
       ~hiwat:(Sockbuf.hiwat listener.sockbuf) ()
   in
-  pcb.remote <- Some remote;
-  let k = key ~local_port:listener.local_port ~remote in
-  Flowtable.insert table.conns k pcb;
-  table.cache <- Some (k, pcb);
-  table.s <- { table.s with allocated = table.s.allocated + 1 };
+  insert table ~local_port:listener.local_port ~remote pcb;
   pcb
 
 let insert_active table ~local_port ~remote ?(hiwat = 16384) () =
-  let k = key ~local_port ~remote in
-  if Flowtable.mem table.conns k then
+  if Flowtable.mem table.conns (key ~local_port ~remote) then
     invalid_arg "Pcb.insert_active: connection exists";
   let pcb = fresh ~local_port ~state:Syn_sent ~hiwat () in
-  pcb.remote <- Some remote;
-  Flowtable.insert table.conns k pcb;
-  table.cache <- Some (k, pcb);
-  table.s <- { table.s with allocated = table.s.allocated + 1 };
+  insert table ~local_port ~remote pcb;
   pcb
 
 let drop table pcb =
   match pcb.remote with
   | None -> ()
-  | Some remote ->
-    let k = key ~local_port:pcb.local_port ~remote in
-    Flowtable.remove table.conns k;
+  | Some ((rip, rport) as remote) ->
+    let local_port = pcb.local_port in
+    Flowtable.remove table.conns (key ~local_port ~remote);
     (match table.cache with
-    | Some (ck, _) when ck = k -> table.cache <- None
+    | Some _ when cached table ~local_port ~rip ~rport -> table.cache <- None
     | _ -> ());
     pcb.state <- Closed;
-    table.s <- { table.s with freed = table.s.freed + 1 }
+    table.freed <- table.freed + 1
 
 let connections table = Flowtable.length table.conns
 
-let stats table = table.s
+let stats table : stats =
+  {
+    lookups = table.lookups;
+    cache_hits = table.cache_hits;
+    table_hits = table.table_hits;
+    misses = table.misses;
+    allocated = table.allocated;
+    freed = table.freed;
+  }
 
 let flowtable table = table.conns
 
 let metrics_scalars m table =
   let module Metrics = Ldlp_obs.Metrics in
   let set n v = Metrics.scalar m ("flow." ^ n) := v in
-  set "lookups" table.s.lookups;
-  set "cache_hits" table.s.cache_hits;
-  set "table_hits" table.s.table_hits;
-  set "misses" table.s.misses;
-  set "allocated" table.s.allocated;
-  set "freed" table.s.freed;
+  set "lookups" table.lookups;
+  set "cache_hits" table.cache_hits;
+  set "table_hits" table.table_hits;
+  set "misses" table.misses;
+  set "allocated" table.allocated;
+  set "freed" table.freed;
   Flowtable.metrics_scalars ~prefix:"flow.table" m table.conns
 
 (* ---------- retransmission bookkeeping ---------- *)

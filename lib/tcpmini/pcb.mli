@@ -74,6 +74,17 @@ val lookup :
 (** Connection lookup with the one-entry cache: an exact match first (from
     cache, then table), else a listener on [local_port]. *)
 
+val find :
+  table ->
+  local_port:int ->
+  remote_ip:Ldlp_packet.Addr.Ipv4.t ->
+  remote_port:int ->
+  t option
+(** {!lookup} with the remote address and port as separate arguments, for
+    the input path: a cache hit allocates nothing, a cache miss only the
+    flow-table key and the option the table returns (which then becomes
+    the cache entry). *)
+
 val insert_connection :
   table -> listener:t -> remote:Ldlp_packet.Addr.Ipv4.t * int -> t
 (** Clone a listener into a connected PCB for [remote]. *)

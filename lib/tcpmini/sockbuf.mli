@@ -18,9 +18,11 @@ val length : t -> int
 val space : t -> int
 (** Room left before the high-water mark (never negative). *)
 
-val append : t -> bytes -> int
-(** [append sb data] appends as much of [data] as fits; returns the number
-    of bytes accepted. *)
+val append : t -> Ldlp_buf.Mbuf.t -> int
+(** [append sb m] copies as much of the chain's payload as fits, from its
+    first byte, into the buffer and returns the number of bytes accepted.
+    That copy is the payload's only one on the receive path; the chain
+    is left untouched (the caller still owns and frees it). *)
 
 val read : t -> int -> bytes
 (** [read sb n] removes and returns up to [n] bytes (the [soreceive]

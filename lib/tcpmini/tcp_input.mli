@@ -45,13 +45,16 @@ val segment_arrived :
   my_ip:Ldlp_packet.Addr.Ipv4.t ->
   src_ip:Ldlp_packet.Addr.Ipv4.t ->
   pool:Ldlp_buf.Pool.t ->
-  ?now:float ->
+  now:float ->
   Ldlp_buf.Mbuf.t ->
   outcome
 (** Process one TCP segment held in an mbuf chain (IP header already
-    stripped).  The chain is consumed (freed).
+    stripped).  The chain is consumed (freed).  The payload is copied
+    once, straight from the chain into the socket buffer; a header
+    carrying options (data offset above 5) is pulled up whole and its
+    options skipped.
 
-    [now] (default 0) is the arrival time used by the loss-recovery
+    [now] is the arrival time used by the loss-recovery
     bookkeeping: incoming ACK values run through {!Pcb.on_ack} (releasing
     tracked segments, feeding the {!Rto} estimator under Karn's rule, and
     flagging a fast retransmit on the PCB after three duplicate ACKs), and

@@ -1,11 +1,15 @@
 module Tcp = Ldlp_packet.Tcp
+module Mbuf = Ldlp_buf.Mbuf
 
-let build ~src ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window
+(* The payload is copied into the chain first, then the header is
+   prepended into the head mbuf's leading space and written in place with
+   the cursor writer; the checksum is summed over the chain. *)
+let segment pool ~src ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window
     ?(payload = Bytes.empty) () =
-  let len = Tcp.header_bytes + Bytes.length payload in
-  let seg = Bytes.create len in
+  let m = Mbuf.get pool in
+  Mbuf.append_bytes pool m payload;
+  let m = Mbuf.prepend m Tcp.header_bytes in
   Tcp.write ~src_port ~dst_port ~seq ~ack ~data_offset:5 ~flags
-    ~window:(min window 0xFFFF) ~urgent:0 seg 0;
-  Bytes.blit payload 0 seg Tcp.header_bytes (Bytes.length payload);
-  Tcp.store_checksum ~src ~dst seg 0 len;
-  seg
+    ~window:(min window 0xFFFF) ~urgent:0 (Mbuf.seg_data m) (Mbuf.seg_off m);
+  Tcp.store_chain_checksum ~src ~dst m;
+  m

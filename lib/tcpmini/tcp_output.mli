@@ -2,7 +2,8 @@
     path, reduced to what the receive side needs: ACKs, SYN-ACKs, RSTs and
     small data segments). *)
 
-val build :
+val segment :
+  Ldlp_buf.Pool.t ->
   src:Ldlp_packet.Addr.Ipv4.t ->
   dst:Ldlp_packet.Addr.Ipv4.t ->
   src_port:int ->
@@ -13,5 +14,9 @@ val build :
   window:int ->
   ?payload:bytes ->
   unit ->
-  bytes
-(** A complete TCP segment (header + payload) with a correct checksum. *)
+  Ldlp_buf.Mbuf.t
+(** A complete TCP segment (header + payload) with a correct checksum,
+    written straight into a fresh chain from the pool.  The head mbuf
+    keeps leading space for the IP and Ethernet headers, so the caller
+    can {!Ldlp_buf.Mbuf.prepend} them without copying.  [window] is
+    clamped to 65535. *)

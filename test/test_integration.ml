@@ -266,7 +266,8 @@ let demux_host ~discipline queries segments =
     Layer.v ~name:"tcp" (fun msg ->
         let m, src, _ = msg.Msg.payload in
         let o =
-          Ldlp_tcpmini.Tcp_input.segment_arrived pcbs ~my_ip ~src_ip:src ~pool m
+          Ldlp_tcpmini.Tcp_input.segment_arrived pcbs ~my_ip ~src_ip:src ~pool
+            ~now:0.0 m
         in
         tcp_replies := !tcp_replies + List.length o.Ldlp_tcpmini.Tcp_input.replies;
         [ Layer.Consume ])
@@ -323,12 +324,11 @@ let test_demux_host_tcp_and_dns () =
            (Ldlp_dnslite.Name.of_string "a.example"))
     in
     let syn_frame i =
-      let seg =
-        Ldlp_tcpmini.Tcp_output.build ~src:src_ip ~dst:my_ip
+      let m =
+        Ldlp_tcpmini.Tcp_output.segment pool ~src:src_ip ~dst:my_ip
           ~src_port:(3000 + i) ~dst_port:80 ~seq:50l ~ack:0l
           ~flags:Ldlp_packet.Tcp.flag_syn ~window:8760 ()
       in
-      let m = Ldlp_buf.Mbuf.of_bytes pool seg in
       let m =
         Ldlp_packet.Ipv4.encapsulate m
           {

@@ -63,6 +63,110 @@ let prop_chain_eq_flat_with_splits =
       Ldlp_buf.Mbuf.free pool joined;
       r)
 
+(* Byte-wise RFC 1071 reference, independent of both routines: byte [i]
+   of the range is the high half of a big-endian word when [i] is even. *)
+let reference_cksum b off len =
+  let sum = ref 0 in
+  for i = 0 to len - 1 do
+    let v = Char.code (Bytes.get b (off + i)) in
+    sum := !sum + if i land 1 = 0 then v lsl 8 else v
+  done;
+  while !sum > 0xFFFF do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xFFFF
+
+(* A chain holding [b] cut at [cuts], each piece starting [lead] bytes
+   into its head mbuf, so segments have arbitrary (often odd) lengths and
+   start at arbitrary buffer alignments. *)
+let chain_of_pieces b cuts lead =
+  let len = Bytes.length b in
+  let cuts =
+    List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts)
+  in
+  let bounds = List.filter (fun c -> c > 0 && c < len) cuts @ [ len ] in
+  let _, pieces =
+    List.fold_left
+      (fun (start, acc) stop -> (stop, Bytes.sub b start (stop - start) :: acc))
+      (0, []) bounds
+  in
+  match List.rev pieces with
+  | [] -> Ldlp_buf.Mbuf.of_bytes pool ~leading:lead b
+  | first :: rest ->
+    List.fold_left
+      (fun m piece ->
+        Ldlp_buf.Mbuf.concat m
+          (Ldlp_buf.Mbuf.of_bytes pool
+             ~leading:((lead + Bytes.length piece) mod 64)
+             piece))
+      (Ldlp_buf.Mbuf.of_bytes pool ~leading:lead first)
+      rest
+
+let cksum_case_arb =
+  QCheck.make
+    ~print:(fun (b, off, cuts, lead) ->
+      Printf.sprintf "len=%d off=%d cuts=[%s] lead=%d" (Bytes.length b - off)
+        off
+        (String.concat ";" (List.map string_of_int cuts))
+        lead)
+    QCheck.Gen.(
+      0 -- 2048 >>= fun len ->
+      0 -- 7 >>= fun off ->
+      map Bytes.of_string (string_size (return (off + len))) >>= fun b ->
+      list_size (0 -- 8) (0 -- 2048) >>= fun cuts ->
+      0 -- 63 >|= fun lead -> (b, off, cuts, lead))
+
+let prop_cksum_reference =
+  QCheck.Test.make ~name:"checksums = byte-wise RFC 1071 reference"
+    ~count:500 cksum_case_arb (fun (b, off, cuts, lead) ->
+      let len = Bytes.length b - off in
+      let expect = reference_cksum b off len in
+      let m = chain_of_pieces (Bytes.sub b off len) cuts lead in
+      let ok =
+        Cksum.simple b off len = expect
+        && Cksum.unrolled b off len = expect
+        && Cksum.simple_chain m = expect
+        && Cksum.unrolled_chain m = expect
+      in
+      Ldlp_buf.Mbuf.free pool m;
+      ok)
+
+let prop_tcp_verify_reference =
+  QCheck.Test.make ~name:"Tcp.verify_checksum agrees with the reference"
+    ~count:300 cksum_case_arb (fun (b, off, cuts, lead) ->
+      let seg = Bytes.sub b off (Bytes.length b - off) in
+      let seg =
+        if Bytes.length seg >= 20 then seg
+        else begin
+          let padded = Bytes.make 20 '\000' in
+          Bytes.blit seg 0 padded 0 (Bytes.length seg);
+          padded
+        end
+      in
+      let len = Bytes.length seg in
+      let src = Addr.Ipv4.of_string "192.0.2.1"
+      and dst = Addr.Ipv4.of_string "198.51.100.77" in
+      (* The reference checksums the pseudo-header followed by the
+         segment, with the checksum field zeroed. *)
+      let pseudo = Bytes.make 12 '\000' in
+      Addr.Ipv4.write src pseudo 0;
+      Addr.Ipv4.write dst pseudo 4;
+      Bytes.set pseudo 9 (Char.chr Ipv4.proto_tcp);
+      Bytes.set_uint16_be pseudo 10 len;
+      Bytes.set_uint16_be seg 16 0;
+      let whole = Bytes.cat pseudo seg in
+      Bytes.set_uint16_be seg 16 (reference_cksum whole 0 (Bytes.length whole));
+      let m = chain_of_pieces seg cuts lead in
+      let good = Tcp.verify_checksum ~src ~dst m in
+      Ldlp_buf.Mbuf.free pool m;
+      (* Flipping one bit anywhere must be caught. *)
+      let i = List.fold_left ( + ) lead cuts mod len in
+      Bytes.set seg i (Char.chr (Char.code (Bytes.get seg i) lxor 1));
+      let m = chain_of_pieces seg cuts lead in
+      let bad = Tcp.verify_checksum ~src ~dst m in
+      Ldlp_buf.Mbuf.free pool m;
+      good && not bad)
+
 let test_cksum_footprints () =
   checki "paper simple footprint" 288 Cksum.code_bytes_simple;
   checki "paper elaborate footprint" 992 Cksum.code_bytes_unrolled
@@ -608,7 +712,7 @@ let prop_ipv4_cursor_equiv =
         lor h.Ipv4.fragment_offset
       in
       Bytes.equal b1 b2
-      && Ipv4.check_at b1 0 20 = Ok 20
+      && Ipv4.check_at b1 0 20 = Ok ()
       && Ipv4.ihl_at b1 0 = 5
       && Ipv4.tos_at b1 0 = h.Ipv4.tos
       && Ipv4.total_length_at b1 0 = h.Ipv4.total_length
@@ -628,7 +732,7 @@ let prop_tcp_cursor_equiv =
         ~seq:h.Tcp.seq ~ack:h.Tcp.ack ~data_offset:h.Tcp.data_offset
         ~flags:h.Tcp.flags ~window:h.Tcp.window ~urgent:h.Tcp.urgent b2 0;
       Bytes.equal b1 b2
-      && Tcp.check_at b1 0 64 = Ok (h.Tcp.data_offset * 4)
+      && Tcp.check_at b1 0 64 = Ok ()
       && Tcp.src_port_at b1 0 = h.Tcp.src_port
       && Tcp.dst_port_at b1 0 = h.Tcp.dst_port
       && Int32.equal (Tcp.seq_at b1 0) h.Tcp.seq
@@ -646,6 +750,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_simple_eq_unrolled;
     QCheck_alcotest.to_alcotest prop_chain_eq_flat;
     QCheck_alcotest.to_alcotest prop_chain_eq_flat_with_splits;
+    QCheck_alcotest.to_alcotest prop_cksum_reference;
+    QCheck_alcotest.to_alcotest prop_tcp_verify_reference;
     Alcotest.test_case "cksum footprints" `Quick test_cksum_footprints;
     Alcotest.test_case "mac roundtrip" `Quick test_mac_roundtrip;
     Alcotest.test_case "ipv4 addr roundtrip" `Quick test_ipv4_roundtrip;

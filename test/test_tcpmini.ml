@@ -14,11 +14,20 @@ let checks = Alcotest.(check string)
 
 (* ---------- Sockbuf ---------- *)
 
+let sb_pool = Ldlp_buf.Pool.create ()
+
+(* Append a string through a one-off mbuf chain, as the input path does. *)
+let append_string sb s =
+  let m = Ldlp_buf.Mbuf.of_string sb_pool s in
+  let n = Sockbuf.append sb m in
+  Ldlp_buf.Mbuf.free sb_pool m;
+  n
+
 let test_sockbuf_basic () =
   let sb = Sockbuf.create ~hiwat:10 () in
   checki "empty" 0 (Sockbuf.length sb);
   checki "space" 10 (Sockbuf.space sb);
-  checki "append accepts" 5 (Sockbuf.append sb (Bytes.of_string "hello"));
+  checki "append accepts" 5 (append_string sb "hello");
   checki "length" 5 (Sockbuf.length sb);
   checks "read" "hel" (Bytes.to_string (Sockbuf.read sb 3));
   checki "length after read" 2 (Sockbuf.length sb);
@@ -26,27 +35,95 @@ let test_sockbuf_basic () =
 
 let test_sockbuf_hiwat () =
   let sb = Sockbuf.create ~hiwat:8 () in
-  checki "partial accept" 8 (Sockbuf.append sb (Bytes.of_string "0123456789"));
+  checki "partial accept" 8 (append_string sb "0123456789");
   checki "full" 0 (Sockbuf.space sb);
-  checki "rejects when full" 0 (Sockbuf.append sb (Bytes.of_string "x"));
+  checki "rejects when full" 0 (append_string sb "x");
   ignore (Sockbuf.read sb 4);
   checki "space recovered" 4 (Sockbuf.space sb)
 
 let test_sockbuf_wakeups () =
   let sb = Sockbuf.create () in
-  ignore (Sockbuf.append sb (Bytes.of_string "a"));
-  ignore (Sockbuf.append sb (Bytes.of_string "b"));
+  ignore (append_string sb "a");
+  ignore (append_string sb "b");
   checki "one wakeup while non-empty" 1 (Sockbuf.wakeups sb);
   ignore (Sockbuf.read_all sb);
-  ignore (Sockbuf.append sb (Bytes.of_string "c"));
+  ignore (append_string sb "c");
   checki "wakeup after drain" 2 (Sockbuf.wakeups sb)
+
+(* The mbuf-append path: copies straight out of the chain. *)
+
+let chain_of_string s = Ldlp_buf.Mbuf.of_string sb_pool s
+
+let test_sockbuf_partial_accept_at_hiwat () =
+  let sb = Sockbuf.create ~hiwat:100 () in
+  let text = String.init 150 (fun i -> Char.chr (33 + (i mod 90))) in
+  let m = chain_of_string text in
+  check "input spans several mbufs" true (Ldlp_buf.Mbuf.nsegs m > 1);
+  checki "accepts up to hiwat" 100 (Sockbuf.append sb m);
+  checki "chain left intact" 150 (Ldlp_buf.Mbuf.length m);
+  checki "no space left" 0 (Sockbuf.space sb);
+  checks "exactly the first 100 bytes" (String.sub text 0 100)
+    (Bytes.to_string (Sockbuf.read_all sb));
+  Ldlp_buf.Mbuf.free sb_pool m
+
+let test_sockbuf_mbuf_wakeups () =
+  let sb = Sockbuf.create ~hiwat:4 () in
+  let empty = chain_of_string "" in
+  checki "empty chain accepts nothing" 0 (Sockbuf.append sb empty);
+  checki "no wakeup for nothing" 0 (Sockbuf.wakeups sb);
+  checki "first bytes" 4 (append_string sb "abcdef");
+  checki "wakeup on empty -> non-empty" 1 (Sockbuf.wakeups sb);
+  checki "full: accepts nothing" 0 (append_string sb "g");
+  checki "no wakeup while full" 1 (Sockbuf.wakeups sb);
+  ignore (Sockbuf.read sb 2);
+  checki "refill while non-empty" 2 (append_string sb "gh");
+  checki "no wakeup while non-empty" 1 (Sockbuf.wakeups sb);
+  ignore (Sockbuf.read_all sb);
+  checki "after drain" 1 (append_string sb "i");
+  checki "second wakeup" 2 (Sockbuf.wakeups sb);
+  Ldlp_buf.Mbuf.free sb_pool empty
+
+let test_sockbuf_cluster_chain_reads () =
+  let sb = Sockbuf.create () in
+  let text = String.init 3000 (fun i -> Char.chr (i * 7 land 0xFF)) in
+  let m = chain_of_string text in
+  (* A stripped header: the payload starts part-way into the head. *)
+  Ldlp_buf.Mbuf.adj m 5;
+  check "cluster-backed chain" true (Ldlp_buf.Mbuf.nsegs m >= 3);
+  checki "whole payload accepted" 2995 (Sockbuf.append sb m);
+  ignore (append_string sb "tail");
+  let got = Buffer.create 3000 in
+  List.iter
+    (fun n -> Buffer.add_bytes got (Sockbuf.read sb n))
+    [ 1; 58; 60; 2047; 7; 10_000 ];
+  checks "byte-exact across segments and chunks"
+    (String.sub text 5 2995 ^ "tail")
+    (Buffer.contents got);
+  checki "drained" 0 (Sockbuf.length sb);
+  Ldlp_buf.Mbuf.free sb_pool m
+
+let test_sockbuf_zero_space_copies_nothing () =
+  let sb = Sockbuf.create ~hiwat:8 () in
+  ignore (append_string sb "12345678");
+  let m = chain_of_string (String.make 1400 'z') in
+  let before = Gc.minor_words () in
+  let accepted = Sockbuf.append sb m in
+  let words = Gc.minor_words () -. before in
+  checki "nothing accepted" 0 accepted;
+  (* Only the boxed float of the probe itself; a copy of the chain would
+     cost 176 words. *)
+  check "no chunk allocated" true (words < 8.);
+  checki "buffer unchanged" 8 (Sockbuf.length sb);
+  checks "contents unchanged" "12345678"
+    (Bytes.to_string (Sockbuf.read_all sb));
+  Ldlp_buf.Mbuf.free sb_pool m
 
 let prop_sockbuf_fifo =
   QCheck.Test.make ~name:"sockbuf preserves byte order" ~count:200
     QCheck.(list_of_size Gen.(0 -- 10) (QCheck.string_of_size Gen.(0 -- 50)))
     (fun chunks ->
       let sb = Sockbuf.create ~hiwat:100000 () in
-      List.iter (fun c -> ignore (Sockbuf.append sb (Bytes.of_string c))) chunks;
+      List.iter (fun c -> ignore (append_string sb c)) chunks;
       Bytes.to_string (Sockbuf.read_all sb) = String.concat "" chunks)
 
 (* ---------- Pcb ---------- *)
@@ -367,11 +444,17 @@ let prop_stream_reassembly =
 let fragmented_frames host ~src_port ~seq payload =
   (* Build the TCP segment, then hand-fragment it across 3 IP fragments. *)
   let open Ldlp_packet in
+  let pool = Ldlp_buf.Pool.create () in
   let segment =
-    Ldlp_tcpmini.Tcp_output.build ~src:client_ip ~dst:(Host.ip host)
-      ~src_port ~dst_port:80 ~seq ~ack:0l
-      ~flags:(Tcp.flag_ack lor Tcp.flag_psh) ~window:8760
-      ~payload:(Bytes.of_string payload) ()
+    let m =
+      Ldlp_tcpmini.Tcp_output.segment pool ~src:client_ip ~dst:(Host.ip host)
+        ~src_port ~dst_port:80 ~seq ~ack:0l
+        ~flags:(Tcp.flag_ack lor Tcp.flag_psh) ~window:8760
+        ~payload:(Bytes.of_string payload) ()
+    in
+    let b = Ldlp_buf.Mbuf.to_bytes m in
+    Ldlp_buf.Mbuf.free pool m;
+    b
   in
   let header =
     {
@@ -388,7 +471,6 @@ let fragmented_frames host ~src_port ~seq payload =
       dst = Host.ip host;
     }
   in
-  let pool = Ldlp_buf.Pool.create () in
   List.map
     (fun (h, frag_payload) ->
       let buf = Bytes.create (Ipv4.header_bytes + Bytes.length frag_payload) in
@@ -744,6 +826,96 @@ let pool_in_use pool =
   let s = Ldlp_buf.Pool.stats pool in
   s.Ldlp_buf.Pool.small_in_use + s.Ldlp_buf.Pool.cluster_in_use
 
+(* ---------- TCP options ---------- *)
+
+(* A client data segment whose header advertises [data_offset] words:
+   the 20 fixed bytes, then NOP, NOP and a 10-byte timestamp option,
+   padded with NOPs to whatever the data offset claims, then the payload.
+   With a data offset past the segment's end the header is cut to the
+   bytes actually present. *)
+let options_frame host ~src_port ~seq ~data_offset payload =
+  let open Ldlp_packet in
+  let hdr_len = min (4 * data_offset) (32 + String.length payload) in
+  let seg_len = max hdr_len (32 + String.length payload) in
+  let seg = Bytes.make seg_len '\x01' in
+  Tcp.write ~src_port ~dst_port:80 ~seq ~ack:0l ~data_offset
+    ~flags:(Tcp.flag_ack lor Tcp.flag_psh) ~window:8760 ~urgent:0 seg 0;
+  Bytes.blit_string "\x01\x01\x08\x0a\x00\x00\x00\x2a\x00\x00\x00\x00" 0
+    seg 20 12;
+  Bytes.blit_string payload 0 seg (seg_len - String.length payload)
+    (String.length payload);
+  Tcp.store_checksum ~src:client_ip ~dst:(Host.ip host) seg 0 seg_len;
+  let pool = Ldlp_buf.Pool.create () in
+  let m = Ldlp_buf.Mbuf.of_bytes pool seg in
+  let m =
+    Ipv4.encapsulate m
+      {
+        Ipv4.ihl = 5;
+        tos = 0;
+        total_length = 0;
+        ident = 0;
+        dont_fragment = true;
+        more_fragments = false;
+        fragment_offset = 0;
+        ttl = 64;
+        protocol = Ipv4.proto_tcp;
+        src = client_ip;
+        dst = Host.ip host;
+      }
+  in
+  let m =
+    Ethernet.encapsulate m
+      {
+        Ethernet.dst = Addr.Mac.of_string "02:00:00:00:00:01";
+        src = Addr.Mac.of_string "02:00:00:00:00:aa";
+        ethertype = Ethernet.ethertype_ipv4;
+      }
+  in
+  let b = Ldlp_buf.Mbuf.to_bytes m in
+  Ldlp_buf.Mbuf.free pool m;
+  b
+
+let test_options_segment_delivered () =
+  Tcp_input.reset_stats ();
+  let pool, host = make_host () in
+  ignore (Host.listen host ~port:80);
+  ignore (handshake host ~src_port:4100);
+  let frame data_offset seq payload =
+    Ldlp_buf.Mbuf.of_bytes pool
+      (options_frame host ~src_port:4100 ~seq ~data_offset payload)
+  in
+  (* Two timestamped data segments: both delivered, the second ACKed. *)
+  let replies =
+    run_frames host [ frame 8 101l "stamped "; frame 8 109l "segment" ]
+  in
+  (match replies with
+  | [ (h, _) ] ->
+    check "acks both payloads" true
+      (Int32.equal h.Tcp.ack (Int32.of_int (101 + 15)))
+  | l -> Alcotest.failf "expected one ACK, got %d" (List.length l));
+  (match
+     Pcb.lookup (Host.table host) ~local_port:80 ~remote:(client_ip, 4100)
+   with
+  | Some pcb ->
+    checks "options skipped, payload delivered" "stamped segment"
+      (Bytes.to_string (Sockbuf.read_all pcb.Pcb.sockbuf))
+  | None -> Alcotest.fail "no pcb");
+  checki "header prediction took both" 2
+    (Tcp_input.stats ()).Tcp_input.fastpath_hits;
+  (* The transmit-side decoder skips options the same way. *)
+  (match Host.parse_tx host (Host.wrap host (frame 8 200l "tx")) with
+  | Some (h, payload) ->
+    checki "data offset" 8 h.Tcp.data_offset;
+    checks "payload after options" "tx" (Bytes.to_string payload)
+  | None -> Alcotest.fail "parse_tx rejected a segment with options");
+  (* A data offset reaching past the segment's end is still rejected. *)
+  let before = pool_in_use pool in
+  let drops = (Tcp_input.stats ()).Tcp_input.drops in
+  checki "no reply to an overlong header" 0
+    (List.length (run_frames host [ frame 15 116l "short" ]));
+  checki "dropped" (drops + 1) (Tcp_input.stats ()).Tcp_input.drops;
+  checki "rejected mbuf freed" before (pool_in_use pool)
+
 let test_truncation_and_garbage_counted () =
   let pool, host = make_host () in
   ignore (Host.listen host ~port:80);
@@ -819,12 +991,117 @@ let prop_mutated_frames_never_raise =
       in
       ok && pool_in_use pool = baseline)
 
+(* ---------- allocation pin: the receive-and-ACK fast path ---------- *)
+
+(* Warm in-order data segments on established connections, through
+   [Host.layers] under the full-duplex engine with a message pool (the
+   arrangement the real-time benchmark times), ACKing every second
+   segment.  The socket buffer's copy of each payload is the only
+   per-segment allocation that grows with the payload; the checksum,
+   header reads, PCB lookup and the ACK written into a pooled mbuf must
+   stay within a small constant.  Frames are built and socket buffers
+   drained outside the measured window. *)
+let test_rx_ack_alloc_pin () =
+  let payload_len = 300 and conns = 8 and per_conn = 4 and rounds = 16 in
+  let pool, mp = (Ldlp_buf.Pool.create (), Ldlp_core.Msg.pool ()) in
+  let host =
+    Host.create ~pool ~msg_pool:mp
+      ~mac:(Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:01")
+      ~ip:(ipa "10.1.0.1") ()
+  in
+  ignore (Host.listen host ~port:80);
+  let eng =
+    Host.duplex host
+      ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
+      ~wire:(fun m -> Ldlp_buf.Mbuf.free pool m)
+      ()
+  in
+  let rx = Ldlp_core.Engine.duplex_rx_entry eng in
+  let inject frame =
+    Ldlp_core.Engine.inject eng ~node:rx
+      (Ldlp_core.Msg.acquire mp ~arrival:0.0
+         ~size:(Ldlp_buf.Mbuf.length frame) (Host.wrap host frame))
+  in
+  let port c = 7000 + c in
+  let server_ack = Int32.add Tcp_input.initial_send_seq 1l in
+  let client flags seq c payload =
+    Host.client_frame host ~src_ip:client_ip ~src_port:(port c) ~dst_port:80
+      ~seq ~ack:server_ack ~flags ~payload ()
+  in
+  for c = 0 to conns - 1 do
+    inject (client Tcp.flag_syn 100l c Bytes.empty);
+    Ldlp_core.Engine.run eng;
+    inject (client Tcp.flag_ack 101l c Bytes.empty);
+    Ldlp_core.Engine.run eng
+  done;
+  let pcbs =
+    Array.init conns (fun c ->
+        match
+          Pcb.lookup (Host.table host) ~local_port:80
+            ~remote:(client_ip, port c)
+        with
+        | Some pcb when pcb.Pcb.state = Pcb.Established -> pcb
+        | _ -> Alcotest.fail "handshake did not establish")
+  in
+  let payload = Bytes.make payload_len 'p' in
+  let seq = Array.make conns 101l in
+  let words = ref 0.0 in
+  let round ~measured =
+    (* Connections interleave, each sending its segments in order. *)
+    let frames =
+      List.init (conns * per_conn) (fun i ->
+          let c = i mod conns in
+          let f = client (Tcp.flag_ack lor Tcp.flag_psh) seq.(c) c payload in
+          seq.(c) <- Tcp.seq_add seq.(c) payload_len;
+          f)
+    in
+    let before = Gc.minor_words () in
+    List.iter inject frames;
+    Ldlp_core.Engine.run eng;
+    let delta = Gc.minor_words () -. before in
+    if measured then words := !words +. delta;
+    Array.iter (fun pcb -> ignore (Sockbuf.read_all pcb.Pcb.sockbuf)) pcbs
+  in
+  let was = Ldlp_core.Invariant.enabled () in
+  Ldlp_core.Invariant.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Ldlp_core.Invariant.set_enabled was)
+    (fun () ->
+      Tcp_input.reset_stats ();
+      for _ = 1 to 4 do
+        round ~measured:false
+      done;
+      for _ = 1 to rounds do
+        round ~measured:true
+      done);
+  let segments = rounds * conns * per_conn in
+  checki "every segment took the fast path"
+    ((rounds + 4) * conns * per_conn)
+    (Tcp_input.stats ()).Tcp_input.fastpath_hits;
+  (* The chunk [Sockbuf] copies into: header word plus padded data. *)
+  let copy_words = 1 + (payload_len / 8) + 1 in
+  let per_segment = !words /. float_of_int segments in
+  Printf.printf "rx-ack alloc pin: %.1f minor words/segment (copy %d)\n"
+    per_segment copy_words;
+  if per_segment > float_of_int (copy_words + 48) then
+    Alcotest.failf
+      "receive-and-ACK path allocates %.1f minor words/segment (payload copy \
+       %d + at most 48 allowed)"
+      per_segment copy_words
+
 let suite =
   [
     Alcotest.test_case "sockbuf basic" `Quick test_sockbuf_basic;
     Alcotest.test_case "sockbuf hiwat" `Quick test_sockbuf_hiwat;
     Alcotest.test_case "sockbuf wakeups" `Quick test_sockbuf_wakeups;
     QCheck_alcotest.to_alcotest prop_sockbuf_fifo;
+    Alcotest.test_case "sockbuf partial accept at hiwat" `Quick
+      test_sockbuf_partial_accept_at_hiwat;
+    Alcotest.test_case "sockbuf mbuf wakeups" `Quick test_sockbuf_mbuf_wakeups;
+    Alcotest.test_case "sockbuf cluster chain reads" `Quick
+      test_sockbuf_cluster_chain_reads;
+    Alcotest.test_case "sockbuf zero-space append" `Quick
+      test_sockbuf_zero_space_copies_nothing;
     Alcotest.test_case "pcb listen/lookup" `Quick test_pcb_listen_and_lookup;
     Alcotest.test_case "pcb double listen" `Quick test_pcb_double_listen_rejected;
     Alcotest.test_case "pcb cache hits" `Quick test_pcb_cache_hits;
@@ -858,6 +1135,10 @@ let suite =
     Alcotest.test_case "delayed-ack timer" `Quick test_delayed_ack_timer;
     Alcotest.test_case "pure ack never answered" `Quick
       test_pure_ack_never_answered;
+    Alcotest.test_case "segment with options delivered" `Quick
+      test_options_segment_delivered;
+    Alcotest.test_case "receive-and-ACK allocation pin" `Quick
+      test_rx_ack_alloc_pin;
     Alcotest.test_case "truncation/garbage counted and freed" `Quick
       test_truncation_and_garbage_counted;
     QCheck_alcotest.to_alcotest prop_mutated_frames_never_raise;
