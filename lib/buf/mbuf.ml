@@ -117,23 +117,25 @@ let of_bytes pool ?(leading = lead_space) b =
 
 let of_string pool ?leading s = of_bytes pool ?leading (Bytes.of_string s)
 
+let rec blit_all m out pos =
+  Bytes.blit m.data m.off out pos m.len;
+  match m.next with None -> () | Some n -> blit_all n out (pos + m.len)
+
 let to_bytes m =
   let out = Bytes.create (length m) in
-  let pos = ref 0 in
-  iter_segments m (fun data off len ->
-      Bytes.blit data off out !pos len;
-      pos := !pos + len);
+  blit_all m out 0;
   out
+
+let rec get_byte_from m pos =
+  if pos < m.len then Char.code (Bytes.get m.data (m.off + pos))
+  else
+    match m.next with
+    | None -> invalid "get_byte: offset beyond end"
+    | Some n -> get_byte_from n (pos - m.len)
 
 let get_byte m pos =
   if pos < 0 then invalid "get_byte: negative offset %d" pos;
-  let rec go pos = function
-    | None -> invalid "get_byte: offset beyond end"
-    | Some m ->
-      if pos < m.len then Char.code (Bytes.get m.data (m.off + pos))
-      else go (pos - m.len) m.next
-  in
-  go pos (Some m)
+  get_byte_from m pos
 
 let prepend m n =
   if n < 0 then invalid "prepend: negative length %d" n;

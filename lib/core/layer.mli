@@ -29,10 +29,12 @@ type 'a action =
           sink immediately. *)
   | Consume  (** The message terminates here (delivered, dropped, ...). *)
   | Up
-      (** Deliver {e the message being handled} upward, unchanged —
-          equivalent to [Deliver_up msg] but a constant constructor, so
-          the common "pass it up" answer ({!up_only}) is a statically
-          allocated list and the steady-state path allocates nothing. *)
+      (** Deliver {e the message being handled} upward — equivalent to
+          [Deliver_up msg] but a constant constructor, so the common "pass
+          it up" answer ({!up_only}) is a statically allocated list and the
+          steady-state path allocates nothing.  The handler may have
+          rewritten the message's [payload] and [size] in place before
+          answering [Up]; the layer above sees the rewritten record. *)
   | Down
       (** Send {e the message being handled} downward, unchanged — the
           allocation-free counterpart of [Send_down msg] ({!down_only}). *)

@@ -27,7 +27,7 @@ let vpc_vci ~vpi ~vci =
   Bytes.set b 0 (Char.chr vpi);
   Bytes.set b 1 (Char.chr (vci lsr 8));
   Bytes.set b 2 (Char.chr (vci land 0xFF));
-  { id = id_vpcvci; data = Bytes.to_string b }
+  { id = id_vpcvci; data = Bytes.unsafe_to_string b }
 
 let cause c =
   if c < 0 || c > 255 then invalid_arg "Ie.cause: out of range";
@@ -50,36 +50,49 @@ let pp_error ppf = function
   | `Truncated -> Format.fprintf ppf "truncated information element"
   | `Bad_length n -> Format.fprintf ppf "bad element length %d" n
 
-let encoded_length ies =
-  List.fold_left (fun acc ie -> acc + 3 + String.length ie.data) 0 ies
+let rec encoded_length_from acc = function
+  | [] -> acc
+  | ie :: rest -> encoded_length_from (acc + 3 + String.length ie.data) rest
 
-let encode_list ies buf off =
-  List.fold_left
-    (fun off ie ->
-      let len = String.length ie.data in
-      Bytes.set buf off (Char.chr (ie.id land 0xFF));
-      Bytes.set buf (off + 1) (Char.chr ((len lsr 8) land 0xFF));
-      Bytes.set buf (off + 2) (Char.chr (len land 0xFF));
-      Bytes.blit_string ie.data 0 buf (off + 3) len;
-      off + 3 + len)
-    off ies
+let encoded_length ies = encoded_length_from 0 ies
+
+let rec encode_list ies buf off =
+  match ies with
+  | [] -> off
+  | ie :: rest ->
+    let len = String.length ie.data in
+    Bytes.set buf off (Char.unsafe_chr (ie.id land 0xFF));
+    Bytes.set buf (off + 1) (Char.unsafe_chr ((len lsr 8) land 0xFF));
+    Bytes.set buf (off + 2) (Char.unsafe_chr (len land 0xFF));
+    Bytes.blit_string ie.data 0 buf (off + 3) len;
+    encode_list rest buf (off + 3 + len)
+
+let dlen_at buf off =
+  (Char.code (Bytes.get buf (off + 1)) lsl 8) lor Char.code (Bytes.get buf (off + 2))
+
+(* Decoding takes two passes over the few bytes: [validate] checks the
+   element framing, then [elements] builds the list front to back, so
+   the result needs no reversal. *)
+let rec validate buf off stop =
+  if off = stop then Ok ()
+  else if stop - off < 3 then Error `Truncated
+  else begin
+    let dlen = dlen_at buf off in
+    if off + 3 + dlen > stop then Error (`Bad_length dlen)
+    else validate buf (off + 3 + dlen) stop
+  end
+
+let[@tail_mod_cons] rec elements buf off stop =
+  if off = stop then []
+  else begin
+    let dlen = dlen_at buf off in
+    { id = Char.code (Bytes.get buf off); data = Bytes.sub_string buf (off + 3) dlen }
+    :: elements buf (off + 3 + dlen) stop
+  end
 
 let decode_list buf off len =
-  let stop = off + len in
-  let rec go acc off =
-    if off = stop then Ok (List.rev acc)
-    else if stop - off < 3 then Error `Truncated
-    else begin
-      let id = Char.code (Bytes.get buf off) in
-      let dlen =
-        (Char.code (Bytes.get buf (off + 1)) lsl 8)
-        lor Char.code (Bytes.get buf (off + 2))
-      in
-      if off + 3 + dlen > stop then Error (`Bad_length dlen)
-      else begin
-        let data = Bytes.sub_string buf (off + 3) dlen in
-        go ({ id; data } :: acc) (off + 3 + dlen)
-      end
-    end
-  in
-  go [] off
+  if off < 0 || len < 0 || off > Bytes.length buf - len then Error `Truncated
+  else
+    match validate buf off (off + len) with
+    | Ok () -> Ok (elements buf off (off + len))
+    | Error e -> Error e

@@ -49,4 +49,5 @@ val encode_list : t list -> bytes -> int -> int
     them.  Layout per element: id byte, 2-byte big-endian length, data. *)
 
 val decode_list : bytes -> int -> int -> (t list, error) result
-(** [decode_list buf off len] parses elements from exactly [len] bytes. *)
+(** [decode_list buf off len] parses elements from exactly [len] bytes.
+    Never raises: a slice outside [buf] is [Error `Truncated]. *)

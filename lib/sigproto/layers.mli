@@ -13,7 +13,9 @@
 
     Payloads move through the variant {!body} as each layer strips its
     header — the same hand-off-the-buffer discipline (Section 3.2) the
-    mbuf system provides for TCP/IP.
+    mbuf system provides for TCP/IP.  Each layer rewrites the payload and
+    size of the message it was given and answers [Up]; nothing may keep a
+    message it handed up and expect its payload to stay put.
 
     Footprints attached to each layer are measured estimates of the OCaml
     implementation's code size; they drive the {!Ldlp_core.Blocking}
@@ -22,7 +24,10 @@
 type body =
   | Raw of Ldlp_buf.Mbuf.t  (** As received: port tag + SSCOP frame. *)
   | Sdu of int * bytes  (** (port, SSCOP frame). *)
-  | Signalling of int * bytes  (** (port, Q.93B message bytes). *)
+  | Signalling of int * bytes
+      (** (port, SSCOP frame): the same bytes as the {!Sdu}, with the
+          Q.93B message starting at offset {!Sscop.header_bytes} — decode
+          it with [Sigmsg.decode_sub], not [Sigmsg.decode]. *)
   | Decoded of int * Sigmsg.t
 
 type item = body
@@ -32,11 +37,15 @@ val frame : pool:Ldlp_buf.Pool.t -> port:int -> bytes -> Ldlp_buf.Mbuf.t
 
 val encode_tx : sscop_for:(int -> Sscop.t) -> port:int -> Sigmsg.t -> int * bytes
 (** Encode a signalling message for transmission: Q.93B bytes wrapped in a
-    sequenced SSCOP frame for the given port.  Returns (port, frame). *)
+    sequenced SSCOP frame for the given port.  Returns (port, frame).  The
+    frame is the one that port's SSCOP retains for retransmission, so the
+    caller must not modify it. *)
 
 type stack = {
   layers : item Ldlp_core.Layer.t list;
-  sscop_for : int -> Sscop.t;  (** Per-port receive/transmit SSCOP state. *)
+  sscop_for : int -> Sscop.t;
+      (** Per-port receive/transmit SSCOP state.  Ports are 0-255, the
+          link frame's one-byte tag; others raise [Invalid_argument]. *)
   switch : Switch.t;
 }
 

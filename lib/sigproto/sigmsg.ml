@@ -73,47 +73,52 @@ let pp_error ppf = function
 
 let encoded_length t = header_bytes + Ie.encoded_length t.ies
 
-let encode t =
+let set_u8 buf pos v = Bytes.set buf pos (Char.unsafe_chr (v land 0xFF))
+
+let encode_at t ~headroom =
+  if headroom < 0 then invalid_arg "Sigmsg.encode_at: negative headroom";
   let ie_len = Ie.encoded_length t.ies in
-  let buf = Bytes.create (header_bytes + ie_len) in
-  Bytes.set buf 0 (Char.chr protocol_discriminator);
-  Bytes.set buf 1 '\003';
+  let buf = Bytes.create (headroom + header_bytes + ie_len) in
   let cr = t.call_ref lor if t.from_originator then 0x800000 else 0 in
-  Bytes.set buf 2 (Char.chr ((cr lsr 16) land 0xFF));
-  Bytes.set buf 3 (Char.chr ((cr lsr 8) land 0xFF));
-  Bytes.set buf 4 (Char.chr (cr land 0xFF));
-  Bytes.set buf 5 (Char.chr (msg_type_code t.typ));
-  Bytes.set buf 6 (Char.chr ((ie_len lsr 8) land 0xFF));
-  Bytes.set buf 7 (Char.chr (ie_len land 0xFF));
-  ignore (Ie.encode_list t.ies buf header_bytes);
+  set_u8 buf headroom protocol_discriminator;
+  set_u8 buf (headroom + 1) 3;
+  set_u8 buf (headroom + 2) (cr lsr 16);
+  set_u8 buf (headroom + 3) (cr lsr 8);
+  set_u8 buf (headroom + 4) cr;
+  set_u8 buf (headroom + 5) (msg_type_code t.typ);
+  set_u8 buf (headroom + 6) (ie_len lsr 8);
+  set_u8 buf (headroom + 7) ie_len;
+  ignore (Ie.encode_list t.ies buf (headroom + header_bytes));
   buf
 
+let encode t = encode_at t ~headroom:0
+
+let byte buf off i = Char.code (Bytes.get buf (off + i))
+
 let decode_sub buf off len =
-  if len < header_bytes then Error (`Too_short len)
+  if off < 0 || len < 0 || off > Bytes.length buf - len then Error (`Bad_length len)
+  else if len < header_bytes then Error (`Too_short len)
+  else if byte buf off 0 <> protocol_discriminator then
+    Error (`Bad_discriminator (byte buf off 0))
+  else if byte buf off 1 <> 3 then Error (`Bad_call_ref_length (byte buf off 1))
   else begin
-    let b i = Char.code (Bytes.get buf (off + i)) in
-    if b 0 <> protocol_discriminator then Error (`Bad_discriminator (b 0))
-    else if b 1 <> 3 then Error (`Bad_call_ref_length (b 1))
-    else begin
-      let cr = (b 2 lsl 16) lor (b 3 lsl 8) lor b 4 in
-      match msg_type_of_code (b 5) with
-      | None -> Error (`Unknown_type (b 5))
-      | Some typ ->
-        let ie_len = (b 6 lsl 8) lor b 7 in
-        if header_bytes + ie_len > len then Error (`Bad_length ie_len)
-        else begin
-          match Ie.decode_list buf (off + header_bytes) ie_len with
-          | Error e -> Error (e :> error)
-          | Ok ies ->
-            Ok
-              {
-                call_ref = cr land 0x7FFFFF;
-                from_originator = cr land 0x800000 <> 0;
-                typ;
-                ies;
-              }
-        end
-    end
+    let cr = (byte buf off 2 lsl 16) lor (byte buf off 3 lsl 8) lor byte buf off 4 in
+    match msg_type_of_code (byte buf off 5) with
+    | None -> Error (`Unknown_type (byte buf off 5))
+    | Some typ -> (
+      let ie_len = (byte buf off 6 lsl 8) lor byte buf off 7 in
+      if header_bytes + ie_len > len then Error (`Bad_length ie_len)
+      else
+        match Ie.decode_list buf (off + header_bytes) ie_len with
+        | Error e -> Error (e :> error)
+        | Ok ies ->
+          Ok
+            {
+              call_ref = cr land 0x7FFFFF;
+              from_originator = cr land 0x800000 <> 0;
+              typ;
+              ies;
+            })
   end
 
 let decode buf = decode_sub buf 0 (Bytes.length buf)

@@ -55,7 +55,13 @@ val encoded_length : t -> int
 
 val encode : t -> bytes
 
+val encode_at : t -> headroom:int -> bytes
+(** [encode_at m ~headroom] is [encode m] preceded by [headroom] bytes
+    left unwritten: room for a lower layer to stamp its header in place,
+    so a message is encoded once, straight into its transmit frame. *)
+
 val decode : bytes -> (t, error) result
 
 val decode_sub : bytes -> int -> int -> (t, error) result
-(** Decode from a slice. *)
+(** [decode_sub buf off len] decodes the message in that slice.  Never
+    raises: a slice outside [buf] is [Error (`Bad_length len)]. *)

@@ -44,7 +44,7 @@ let state t = t.st
 
 let next_deadline t = t.deadline
 
-let unacked t = List.length (Sscop.unacked t.core)
+let unacked t = Sscop.pending t.core
 
 let ctrl tag = Sscop.frame ~tag ~seq:0 Bytes.empty
 
@@ -95,7 +95,7 @@ let on_ack_progress t =
 let on_receive t ~now frame =
   match Sscop.parse frame with
   | Error _ -> no_outcome
-  | Ok (tag, _seq, _payload) -> (
+  | Ok (tag, seq, _payload) -> (
     match (tag, t.st) with
     (* Establishment. *)
     | 'B', Idle ->
@@ -144,18 +144,12 @@ let on_receive t ~now frame =
     (* Keep-alive. *)
     | 'P', Ready ->
       { no_outcome with to_send = [ Sscop.frame ~tag:'S' ~seq:(Sscop.next_expected_seq t.core) Bytes.empty ] }
-    | 'S', Ready -> (
-      (* STAT is a cumulative ack: reuse the core's ack handling. *)
-      match Sscop.parse frame with
-      | Ok (_, seq, _) -> (
-        match Sscop.on_receive t.core (Sscop.frame ~tag:'A' ~seq Bytes.empty) with
-        | Sscop.Ack_processed _ ->
-          on_ack_progress t;
-          if unacked t > 0 && t.deadline = None then
-            arm t ~now t.cfg.poll_interval;
-          no_outcome
-        | _ -> no_outcome)
-      | Error _ -> no_outcome)
+    | 'S', Ready ->
+      (* STAT is a cumulative ack. *)
+      Sscop.acknowledge t.core seq;
+      on_ack_progress t;
+      if unacked t > 0 && t.deadline = None then arm t ~now t.cfg.poll_interval;
+      no_outcome
     (* Everything else is ignorable in the current state. *)
     | _ -> no_outcome)
 

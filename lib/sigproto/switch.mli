@@ -36,14 +36,22 @@ val create :
     downstream handshake — which is how the flood benchmarks exercise the
     full called-side exchange without a peer. *)
 
+(** Ports are [0 .. max_int lsr 23]: {!create} and {!handle} raise
+    [Invalid_argument] outside that range, and {!handle} also for a call
+    reference outside [0 .. 0x7FFFFF]. *)
+
 val handle : t -> port:int -> Sigmsg.t -> (int * Sigmsg.t) list
 (** Process one incoming message, returning [(out_port, message)] pairs to
     transmit.  Unknown call references and FSM violations produce STATUS or
-    RELEASE_COMPLETE per Q.93B custom and count as protocol errors. *)
+    RELEASE_COMPLETE per Q.93B custom and count as protocol errors.  The
+    same call reference on two ports names two independent calls. *)
 
 val active_calls : t -> int
 
 val stats : t -> stats
+(** A snapshot of the counters. *)
 
 val vci_of_call : t -> call_ref:int -> (int * int) option
-(** The VPI/VCI the switch allocated for a routed call, if connected. *)
+(** The VPI/VCI the switch allocated for a call routed in with this
+    (upstream) call reference and not yet released; if several ports
+    carry it, any one of those calls. *)

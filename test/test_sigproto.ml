@@ -292,6 +292,70 @@ let prop_sscop_pipe =
           | _ -> false)
         payloads)
 
+(* Regression: the cumulative-ack trim compares sequence numbers modulo
+   2^24.  Send 2^24 + 4 frames, acknowledging each batch as it goes, so
+   [vt_s] wraps; every frame sent across the wrap (0xFFFFFC .. 3) must be
+   released by the ack that names seq 4.  Only the original interface is
+   used, so the test runs against any version of the module. *)
+let test_sscop_ack_across_wrap () =
+  let tx = Sscop.create () in
+  let ack seq = Sscop.on_receive tx (Sscop.frame ~tag:'A' ~seq Bytes.empty) in
+  let retained () = List.map fst (Sscop.unacked tx) in
+  let batch = 4096 and before_wrap = 0x1000000 - 4 in
+  let sent = ref 0 in
+  while !sent < before_wrap do
+    let n = min batch (before_wrap - !sent) in
+    for _ = 1 to n do
+      ignore (Sscop.send tx Bytes.empty)
+    done;
+    sent := !sent + n;
+    ignore (ack (Sscop.next_send_seq tx));
+    if Sscop.unacked tx <> [] then Alcotest.failf "stuck after %d sends" !sent
+  done;
+  for _ = 1 to 8 do
+    ignore (Sscop.send tx Bytes.empty)
+  done;
+  checki "sequence wrapped" 4 (Sscop.next_send_seq tx);
+  check "eight retained across the wrap" true
+    (retained () = [ 0xFFFFFC; 0xFFFFFD; 0xFFFFFE; 0xFFFFFF; 0; 1; 2; 3 ]);
+  (* A stale ack (behind the oldest retained frame) releases nothing. *)
+  (match ack 0xFFFFF0 with
+  | Sscop.Ack_processed 0xFFFFF0 -> ()
+  | _ -> Alcotest.fail "stale ack");
+  checki "stale ack keeps all" 8 (List.length (retained ()));
+  (* Acking seq 1 releases the four frames before the wrap plus seq 0. *)
+  ignore (ack 1);
+  check "ack across the wrap" true (retained () = [ 1; 2; 3 ]);
+  ignore (ack 4);
+  check "drained" true (retained () = []);
+  checki "retransmits nothing" 0 (List.length (Sscop.retransmit tx))
+
+let test_sscop_ring_grows_in_order () =
+  (* More frames than the ring's initial capacity, with acks moving its
+     head: unacked/retransmit keep sending order and sequence numbers. *)
+  let tx = Sscop.create () in
+  let payload i = Bytes.of_string (string_of_int i) in
+  for i = 0 to 9 do
+    ignore (Sscop.send tx (payload i))
+  done;
+  Sscop.acknowledge tx 7;
+  for i = 10 to 59 do
+    ignore (Sscop.send tx (payload i))
+  done;
+  checki "pending" 53 (Sscop.pending tx);
+  let un = Sscop.unacked tx in
+  check "seqs in order" true (List.map fst un = List.init 53 (fun i -> i + 7));
+  check "payloads in order" true
+    (List.map (fun (_, p) -> Bytes.to_string p) un
+    = List.init 53 (fun i -> string_of_int (i + 7)));
+  check "retransmit = frames" true
+    (List.for_all2
+       (fun f (seq, p) ->
+         match Sscop.parse f with
+         | Ok ('D', s, p') -> s = seq && Bytes.equal p p'
+         | _ -> false)
+       (Sscop.retransmit tx) un)
+
 (* ---------- Sscop_conn (connection-managed SSCOP) ---------- *)
 
 let feed conn ~now frames =
@@ -573,6 +637,176 @@ let test_switch_many_calls () =
   checki "200 connected" 200 (Switch.stats sw).Switch.calls_connected;
   checki "200 active" 200 (Switch.active_calls sw)
 
+let test_switch_same_ref_two_ports () =
+  (* Call reference 7 arrives on ports 1 and 4: two calls, one leg key
+     each, and releasing one leaves the other up. *)
+  let sw = make_switch () in
+  let out1 = connect_call sw ~in_port:1 ~call_ref:7 "b:1" in
+  let out4 = connect_call sw ~in_port:4 ~call_ref:7 "c:1" in
+  checki "two calls" 2 (Switch.active_calls sw);
+  checki "both connected" 2 (Switch.stats sw).Switch.calls_connected;
+  check "distinct downstream legs" true (out1 <> out4);
+  let replies = Switch.handle sw ~port:1 (Sigmsg.v ~call_ref:7 Sigmsg.Release []) in
+  check "release goes to port 1's callee" true
+    (List.exists
+       (fun (p, m) ->
+         p = fst out1 && m.Sigmsg.typ = Sigmsg.Release && m.Sigmsg.call_ref = snd out1)
+       replies);
+  check "port 4's call untouched" true
+    (List.for_all (fun (p, _) -> p <> 4 && p <> fst out4) replies);
+  ignore
+    (Switch.handle sw ~port:(fst out1)
+       (Sigmsg.v ~from_originator:false ~call_ref:(snd out1) Sigmsg.Release_complete []));
+  checki "one left" 1 (Switch.active_calls sw);
+  checki "one released" 1 (Switch.stats sw).Switch.calls_released;
+  (* The survivor still answers on port 4 and releases normally. *)
+  (match Switch.handle sw ~port:4 (Sigmsg.v ~call_ref:7 Sigmsg.Status_enquiry []) with
+  | [ (4, m) ] -> check "status from live call" true (m.Sigmsg.typ = Sigmsg.Status)
+  | _ -> Alcotest.fail "status enquiry on the surviving call");
+  ignore (Switch.handle sw ~port:4 (Sigmsg.v ~call_ref:7 Sigmsg.Release []));
+  ignore
+    (Switch.handle sw ~port:(fst out4)
+       (Sigmsg.v ~from_originator:false ~call_ref:(snd out4) Sigmsg.Release_complete []));
+  checki "empty" 0 (Switch.active_calls sw);
+  checki "no protocol errors" 0 (Switch.stats sw).Switch.protocol_errors
+
+(* The largest port the switch accepts: a leg key packs the port above
+   the 23-bit call reference in one int. *)
+let max_switch_port = max_int lsr 23
+
+(* Run an auto-answered call on [port]/[call_ref] through CONNECT_ACK. *)
+let answer_call sw ~port ~call_ref =
+  (match Switch.handle sw ~port (setup ~call_ref "x") with
+  | [ (p1, m1); (p2, m2) ] ->
+    check "proceeding to caller" true
+      (p1 = port && m1.Sigmsg.call_ref = call_ref
+      && m1.Sigmsg.typ = Sigmsg.Call_proceeding);
+    check "connect to caller" true
+      (p2 = port && m2.Sigmsg.call_ref = call_ref && m2.Sigmsg.typ = Sigmsg.Connect)
+  | _ -> Alcotest.fail "auto-answer replies");
+  ignore (Switch.handle sw ~port (Sigmsg.v ~call_ref Sigmsg.Connect_ack []))
+
+let is_live_status sw ~port ~call_ref =
+  match Switch.handle sw ~port (Sigmsg.v ~call_ref Sigmsg.Status_enquiry []) with
+  | [ (p, m) ] -> p = port && m.Sigmsg.typ = Sigmsg.Status
+  | _ -> false
+
+let test_switch_same_ref_extreme_ports () =
+  (* The lowest and highest port, each carrying the lowest and highest
+     call reference: four independent calls. *)
+  let sw = Switch.create ~auto_answer:true ~routes:[] ~local_port:1 () in
+  let legs =
+    [ (0, 0); (0, 0x7FFFFF); (max_switch_port, 0); (max_switch_port, 0x7FFFFF) ]
+  in
+  List.iter (fun (port, call_ref) -> answer_call sw ~port ~call_ref) legs;
+  checki "four calls" 4 (Switch.active_calls sw);
+  checki "four connected" 4 (Switch.stats sw).Switch.calls_connected;
+  ignore (Switch.handle sw ~port:0 (Sigmsg.v ~call_ref:0x7FFFFF Sigmsg.Release []));
+  checki "one released" 1 (Switch.stats sw).Switch.calls_released;
+  checki "three left" 3 (Switch.active_calls sw);
+  List.iter
+    (fun (port, call_ref) ->
+      check "others still up" true (is_live_status sw ~port ~call_ref))
+    (List.tl (List.tl legs) @ [ (0, 0) ]);
+  checki "no protocol errors" 0 (Switch.stats sw).Switch.protocol_errors;
+  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check "negative port" true
+    (rejects (fun () -> Switch.handle sw ~port:(-1) (setup ~call_ref:1 "x")));
+  check "port too large" true
+    (rejects (fun () ->
+         Switch.handle sw ~port:(max_switch_port + 1) (setup ~call_ref:1 "x")));
+  check "call ref too large" true
+    (rejects (fun () ->
+         Switch.handle sw ~port:0
+           { (setup ~call_ref:1 "x") with Sigmsg.call_ref = 0x800000 }));
+  check "create checks ports" true
+    (rejects (fun () -> Switch.create ~routes:[ ("x", -2) ] ~local_port:0 ()))
+
+let prop_switch_legs_distinct =
+  (* Any two distinct (port, call_ref) pairs the switch accepts name two
+     independent calls; the extremes are drawn often.  The auto-answered
+     calls' downstream legs are (1, 1) and (1, 2), so those pairs are not
+     drawn. *)
+  let port_gen =
+    QCheck.Gen.(
+      oneof [ int_bound 0xFFFF; return 0; return max_switch_port; int_bound max_switch_port ])
+  in
+  let ref_gen = QCheck.Gen.(oneof [ int_bound 0x7FFFFF; return 0; return 0x7FFFFF ]) in
+  QCheck.Test.make ~name:"switch keeps every accepted (port, call_ref) apart" ~count:300
+    QCheck.(make Gen.(pair (pair port_gen ref_gen) (pair port_gen ref_gen)))
+    (fun (((p1, r1) as a), ((p2, r2) as b)) ->
+      let out_leg (p, r) = p = 1 && (r = 1 || r = 2) in
+      QCheck.assume (a <> b && (not (out_leg a)) && not (out_leg b));
+      let sw = Switch.create ~auto_answer:true ~routes:[] ~local_port:1 () in
+      answer_call sw ~port:p1 ~call_ref:r1;
+      answer_call sw ~port:p2 ~call_ref:r2;
+      let two = Switch.active_calls sw = 2 in
+      ignore (Switch.handle sw ~port:p1 (Sigmsg.v ~call_ref:r1 Sigmsg.Release []));
+      two
+      && Switch.active_calls sw = 1
+      && is_live_status sw ~port:p2 ~call_ref:r2
+      && (Switch.stats sw).Switch.protocol_errors = 0)
+
+let test_switch_many_ports_same_refs () =
+  (* 1024 ports each numbering 32 calls from 1, against one port
+     carrying all 32768: a lookup must cost about the same in both
+     tables.  A call-table hash that ignored the port would chain the
+     1024 calls sharing a reference in one bucket, making the many-port
+     lookups an order of magnitude slower. *)
+  let ports = 1024 and refs = 32 in
+  let table legs =
+    let sw = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+    List.iter
+      (fun (port, call_ref) -> ignore (Switch.handle sw ~port (setup ~call_ref "x")))
+      legs;
+    checki "all routed" (ports * refs) (Switch.active_calls sw);
+    sw
+  in
+  let many = List.init (ports * refs) (fun i -> (1 + (i / refs), 1 + (i mod refs))) in
+  let one = List.init (ports * refs) (fun i -> (1, 1 + i)) in
+  let cost legs =
+    let sw = table legs in
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Sys.time () in
+      List.iter
+        (fun (port, call_ref) ->
+          ignore (Switch.handle sw ~port (Sigmsg.v ~call_ref Sigmsg.Status_enquiry [])))
+        legs;
+      best := Float.min !best (Sys.time () -. t0)
+    done;
+    checki "no protocol errors" 0 (Switch.stats sw).Switch.protocol_errors;
+    !best
+  in
+  let t_one = cost one in
+  let t_many = cost many in
+  if t_many > (4. *. t_one) +. 0.005 then
+    Alcotest.failf "many-port lookups %.1f ms vs one-port %.1f ms" (t_many *. 1e3)
+      (t_one *. 1e3)
+
+let test_switch_vci_of_call () =
+  let sw = make_switch () in
+  check "unknown" true (Switch.vci_of_call sw ~call_ref:7 = None);
+  let _ = connect_call sw ~in_port:1 ~call_ref:7 "b:42" in
+  let _ = connect_call sw ~in_port:1 ~call_ref:8 "c:1" in
+  check "first call" true (Switch.vci_of_call sw ~call_ref:7 = Some (0, 32));
+  check "second call" true (Switch.vci_of_call sw ~call_ref:8 = Some (0, 33));
+  (* Downstream call references are not upstream ones. *)
+  check "out ref is not a call" true (Switch.vci_of_call sw ~call_ref:2 = None);
+  (* The value matches the VPI/VCI the CONNECT carried upstream. *)
+  let sw2 = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+  (match Switch.handle sw2 ~port:1 (setup ~call_ref:5 "x") with
+  | [ _; (1, connect) ] -> (
+    match Ie.find Ie.id_vpcvci connect.Sigmsg.ies with
+    | Some ie ->
+      check "connect ie = vci_of_call" true
+        (Ie.get_vpc_vci ie = Switch.vci_of_call sw2 ~call_ref:5)
+    | None -> Alcotest.fail "connect without VPI/VCI")
+  | _ -> Alcotest.fail "auto-answer replies");
+  ignore (Switch.handle sw2 ~port:1 (Sigmsg.v ~call_ref:5 Sigmsg.Connect_ack []));
+  ignore (Switch.handle sw2 ~port:1 (Sigmsg.v ~call_ref:5 Sigmsg.Release []));
+  check "released" true (Switch.vci_of_call sw2 ~call_ref:5 = None)
+
 let prop_switch_random_valid_scripts =
   (* Drive the switch with randomly interleaved *valid* call scripts
      (setup, connect-ack, release at staggered positions across many call
@@ -615,7 +849,7 @@ let prop_switch_random_valid_scripts =
 
 let pool = Ldlp_buf.Pool.create ()
 
-let run_stack ~discipline frames =
+let run_stack ?(after = []) ~discipline frames =
   let sw = make_switch () in
   let st = Layers.stack ~pool ~switch:sw () in
   let downs = ref [] in
@@ -624,13 +858,17 @@ let run_stack ~discipline frames =
       ~down:(fun m -> downs := m.Ldlp_core.Msg.payload :: !downs)
       ()
   in
+  (* [frames] in one run, then [after] in a second one. *)
   List.iter
-    (fun (port, payload) ->
-      let m = Layers.frame ~pool ~port payload in
-      Ldlp_core.Sched.inject sched
-        (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m)))
-    frames;
-  Ldlp_core.Sched.run sched;
+    (fun frames ->
+      List.iter
+        (fun (port, payload) ->
+          let m = Layers.frame ~pool ~port payload in
+          Ldlp_core.Sched.inject sched
+            (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m)))
+        frames;
+      Ldlp_core.Sched.run sched)
+    [ frames; after ];
   (sw, st, List.rev !downs, Ldlp_core.Sched.stats sched)
 
 (* Frames from one caller share a transmit-side SSCOP so sequence numbers
@@ -671,17 +909,299 @@ let test_layers_no_acks_option () =
   (* Without sscop acks: only CALL_PROCEEDING + forwarded SETUP. *)
   checki "two transmissions, no ack" 2 !downs
 
+(* Full call lifecycles through the stack, as the callers on both sides
+   would send them: caller (port 1) SETUP, callee (port 2) CONNECT,
+   caller CONNECT_ACK, caller RELEASE, callee RELEASE_COMPLETE, and after
+   every call a cumulative SSCOP ack from each side for the switch's three
+   data frames to it.  The switch allocates downstream call references
+   1, 2, ... in order.  (Under LDLP a batch's acks reach SSCOP before the
+   call layer has sent the replies they name, so only a final ack, in a
+   later run, is sure to drain the retention buffers.) *)
+let lifecycle_frames ~calls =
+  let tx1 = Sscop.create () and tx2 = Sscop.create () in
+  let frames = ref [] in
+  let on port tx m =
+    frames := Layers.encode_tx ~sscop_for:(fun _ -> tx) ~port m :: !frames
+  in
+  for cr = 1 to calls do
+    let callee typ = Sigmsg.v ~from_originator:false ~call_ref:cr typ [] in
+    on 1 tx1 (setup ~call_ref:(100 + cr) "b:1");
+    on 2 tx2 (callee Sigmsg.Connect);
+    on 1 tx1 (Sigmsg.v ~call_ref:(100 + cr) Sigmsg.Connect_ack []);
+    on 1 tx1 (Sigmsg.v ~call_ref:(100 + cr) Sigmsg.Release []);
+    on 2 tx2 (callee Sigmsg.Release_complete);
+    List.iter
+      (fun port -> frames := (port, Sscop.frame ~tag:'A' ~seq:(3 * cr) Bytes.empty) :: !frames)
+      [ 1; 2 ]
+  done;
+  List.rev !frames
+
+let tx_frames downs =
+  List.map
+    (function
+      | Layers.Sdu (p, b) -> (p, Bytes.to_string b)
+      | _ -> Alcotest.fail "non-frame sent down")
+    downs
+
 let test_layers_ldlp_equals_conventional () =
+  let ldlp = Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default in
   let frames = setup_frames ~port:1 ~count:20 "b:1" in
   let sw1, _, downs1, _ = run_stack ~discipline:Ldlp_core.Sched.Conventional frames in
-  let sw2, _, downs2, _ =
-    run_stack ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default) frames
-  in
+  let sw2, _, downs2, _ = run_stack ~discipline:ldlp frames in
   checki "twenty calls either way" 20 (Switch.active_calls sw1);
   checki "same calls" (Switch.active_calls sw1) (Switch.active_calls sw2);
   checki "same routed" (Switch.stats sw1).Switch.setups_routed
     (Switch.stats sw2).Switch.setups_routed;
-  checki "same transmissions" (List.length downs1) (List.length downs2)
+  checki "same transmissions" (List.length downs1) (List.length downs2);
+  (* Full lifecycles with releases and SSCOP acks: the same frames leave
+     under both disciplines.  LDLP sends a batch's SSCOP acks before its
+     replies, so the complete lists are compared as multisets, and each
+     port's sequenced data frames in order. *)
+  let calls = 40 in
+  let frames = lifecycle_frames ~calls in
+  let run discipline =
+    let final_acks =
+      List.map (fun port -> (port, Sscop.frame ~tag:'A' ~seq:(3 * calls) Bytes.empty)) [ 1; 2 ]
+    in
+    let sw, st, downs, _ = run_stack ~discipline ~after:final_acks frames in
+    let s = Switch.stats sw in
+    checki "all connected" calls s.Switch.calls_connected;
+    checki "all released" calls s.Switch.calls_released;
+    checki "none active" 0 (Switch.active_calls sw);
+    checki "no protocol errors" 0 s.Switch.protocol_errors;
+    List.iter
+      (fun port -> checki "retention drained" 0 (Sscop.pending (st.Layers.sscop_for port)))
+      [ 1; 2 ];
+    tx_frames downs
+  in
+  let conv = run Ldlp_core.Sched.Conventional and batched = run ldlp in
+  (* Per call: 6 replies and 5 SSCOP acks. *)
+  checki "frames sent" (11 * calls) (List.length conv);
+  check "same frames" true (List.sort compare conv = List.sort compare batched);
+  let data port l = List.filter (fun (p, f) -> p = port && f.[0] = 'D') l in
+  List.iter
+    (fun port -> check "same data order" true (data port conv = data port batched))
+    [ 1; 2 ];
+  checki "buffers returned" 0
+    (let ps = Ldlp_buf.Pool.stats pool in
+     ps.Ldlp_buf.Pool.small_in_use + ps.Ldlp_buf.Pool.cluster_in_use)
+
+(* ---------- allocation pin: the signalling receive-and-reply path ---------- *)
+
+(* Warm SETUP -> CONNECT_ACK -> RELEASE lifecycles against an
+   auto-answering switch (the arrangement the real-time benchmark times),
+   through [Layers.stack] under the LDLP engine, with a cumulative SSCOP
+   ack from the caller every 64 frames.  Frames and messages are built
+   outside the measured window.  What remains per message is the link
+   layer's copy of the frame, the decoded message, the call's table
+   entry and the reply and ack frames with their messages. *)
+let test_signalling_alloc_pin () =
+  let words_budget = 105.0 in
+  let pool = Ldlp_buf.Pool.create () in
+  let switch = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+  let st = Layers.stack ~pool ~switch () in
+  let sent = ref 0 in
+  let eng =
+    Ldlp_core.Sched.create
+      ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+      ~layers:st.Layers.layers
+      ~down:(fun _ -> incr sent)
+      ()
+  in
+  let tx = Sscop.create () in
+  let seq = ref 0 and replies = ref 0 in
+  let frames = ref [] in
+  let push f = frames := f :: !frames in
+  let send m nreplies =
+    push (snd (Layers.encode_tx ~sscop_for:(fun _ -> tx) ~port:1 m));
+    incr seq;
+    replies := !replies + nreplies;
+    if !seq mod 64 = 0 then push (Sscop.frame ~tag:'A' ~seq:!replies Bytes.empty)
+  in
+  let next_call = ref 0 in
+  let lifecycles n =
+    frames := [];
+    for _ = 1 to n do
+      incr next_call;
+      let call_ref = !next_call in
+      send (Sigmsg.v ~call_ref Sigmsg.Setup [ Ie.called_party "local:80"; Ie.qos 1 ]) 2;
+      send (Sigmsg.v ~call_ref Sigmsg.Connect_ack []) 0;
+      send (Sigmsg.v ~call_ref Sigmsg.Release []) 1
+    done;
+    Array.of_list
+      (List.rev_map
+         (fun f ->
+           let m = Layers.frame ~pool ~port:1 f in
+           Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m))
+         !frames)
+  in
+  let words = ref 0.0 and msgs = ref 0 in
+  let round ~measured =
+    let batch = lifecycles 128 in
+    let before = Gc.minor_words () in
+    Array.iter (Ldlp_core.Sched.inject eng) batch;
+    Ldlp_core.Sched.run eng;
+    let delta = Gc.minor_words () -. before in
+    if measured then begin
+      words := !words +. delta;
+      msgs := !msgs + Array.length batch
+    end
+  in
+  let was = Ldlp_core.Invariant.enabled () in
+  Ldlp_core.Invariant.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Ldlp_core.Invariant.set_enabled was)
+    (fun () ->
+      for _ = 1 to 4 do
+        round ~measured:false
+      done;
+      for _ = 1 to 16 do
+        round ~measured:true
+      done);
+  let per_msg = !words /. float_of_int !msgs in
+  let s = Switch.stats switch in
+  checki "every call released" !next_call s.Switch.calls_released;
+  checki "no protocol errors" 0 s.Switch.protocol_errors;
+  checki "replies and acks sent" (!replies + (3 * !next_call)) !sent;
+  (* The caller's acks keep the switch's retention ring short. *)
+  check "retention bounded" true (Sscop.pending (st.Layers.sscop_for 1) < 2 * 64);
+  if per_msg > words_budget then
+    Alcotest.failf "%.1f minor words/message > budget %.0f" per_msg words_budget
+
+(* ---------- decoder fuzz ---------- *)
+
+(* Valid signalling frames, then damaged: cut short, bits flipped, or an
+   IE's length field inflated.  Nothing on the receive path may raise;
+   the stack must return every buffer; and an undamaged message decodes
+   to itself. *)
+type damage = Intact | Truncate of int | Flip of int * int | Inflate of int * int
+
+let damage_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Intact);
+        (2, map (fun n -> Truncate n) (int_bound 64));
+        (3, map2 (fun i b -> Flip (i, b)) (int_bound 80) (int_bound 7));
+        (2, map2 (fun k d -> Inflate (k, d)) (int_bound 4) (int_range 1 300));
+      ])
+
+let apply_damage f = function
+  | Intact -> f
+  | Truncate n -> Bytes.sub f 0 (min n (Bytes.length f))
+  | Flip (i, bit) ->
+    let f = Bytes.copy f in
+    if Bytes.length f > 0 then begin
+      let i = i mod Bytes.length f in
+      Bytes.set f i (Char.chr (Char.code (Bytes.get f i) lxor (1 lsl bit)))
+    end;
+    f
+  | Inflate (k, d) ->
+    (* Walk the IEs of the Q.93B message after the SSCOP header and add
+       [d] to the length field of the k-th one (or of the last). *)
+    let f = Bytes.copy f in
+    let base = Sscop.header_bytes + Sigmsg.header_bytes in
+    let rec go off k =
+      if off + 3 <= Bytes.length f then begin
+        let len = (Char.code (Bytes.get f (off + 1)) lsl 8) lor Char.code (Bytes.get f (off + 2)) in
+        if k = 0 || off + 3 + len + 3 > Bytes.length f then begin
+          let len' = (len + d) land 0xFFFF in
+          Bytes.set f (off + 1) (Char.chr (len' lsr 8));
+          Bytes.set f (off + 2) (Char.chr (len' land 0xFF))
+        end
+        else go (off + 3 + len) (k - 1)
+      end
+    in
+    go base k;
+    f
+
+let sigmsg_gen =
+  QCheck.Gen.(
+    map3
+      (fun call_ref ti ies -> Sigmsg.v ~call_ref (List.nth all_types ti) ies)
+      (int_bound 0x7FFFFF) (int_bound 7)
+      (list_size (0 -- 4) (QCheck.gen ie_arb)))
+
+let never_raises name f =
+  match f () with
+  | _ -> true
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+
+let prop_decoders_survive_damage =
+  QCheck.Test.make ~name:"signalling decoders survive damaged frames" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (list_size (1 -- 12) (pair sigmsg_gen damage_gen))
+            (pair (int_range (-8) 80) (int_range (-8) 80))))
+    (fun (msgs, (off, len)) ->
+      let tx = Sscop.create () in
+      let frames =
+        List.map
+          (fun (m, d) ->
+            let f = snd (Layers.encode_tx ~sscop_for:(fun _ -> tx) ~port:1 m) in
+            (m, d, f, apply_damage f d))
+          msgs
+      in
+      let body f =
+        if Bytes.length f < Sscop.header_bytes then Bytes.empty
+        else Bytes.sub f Sscop.header_bytes (Bytes.length f - Sscop.header_bytes)
+      in
+      let codecs_ok =
+        List.for_all
+          (fun (m, d, f, bad) ->
+            let q = body bad in
+            (* decode . encode = id on the undamaged message. *)
+            (match Sigmsg.decode (body f) with Ok m' -> m = m' | Error _ -> false)
+            && (d <> Intact || Sigmsg.decode q = Ok m)
+            && never_raises "Sigmsg.decode" (fun () -> Sigmsg.decode q)
+            && never_raises "Sigmsg.decode_sub" (fun () ->
+                   Sigmsg.decode_sub bad Sscop.header_bytes (Bytes.length bad - Sscop.header_bytes))
+            && never_raises "Ie.decode_list" (fun () ->
+                   Ie.decode_list q Sigmsg.header_bytes (Bytes.length q - Sigmsg.header_bytes))
+            && never_raises "Ie.decode_list slice" (fun () -> Ie.decode_list q off len)
+            && (off >= 0 && len >= 0 && off + len <= Bytes.length q
+               || (Result.is_error (Sigmsg.decode_sub q off len)
+                  && Result.is_error (Ie.decode_list q off len)))
+            && never_raises "Sscop.parse" (fun () -> Sscop.parse bad)
+            && never_raises "Sscop.on_receive" (fun () -> Sscop.on_receive (Sscop.create ()) bad))
+          frames
+      in
+      (* The whole stack, conventional then LDLP, on the damaged frames. *)
+      let stack_ok discipline =
+        let pool = Ldlp_buf.Pool.create () in
+        let switch = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+        let st = Layers.stack ~pool ~switch () in
+        let sched =
+          Ldlp_core.Sched.create ~discipline ~layers:st.Layers.layers ~down:ignore ()
+        in
+        never_raises "Layers.stack" (fun () ->
+            List.iter
+              (fun (_, _, _, bad) ->
+                let m = Layers.frame ~pool ~port:1 bad in
+                Ldlp_core.Sched.inject sched
+                  (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m)))
+              frames;
+            Ldlp_core.Sched.run sched)
+        &&
+        let ps = Ldlp_buf.Pool.stats pool in
+        ps.Ldlp_buf.Pool.small_in_use + ps.Ldlp_buf.Pool.cluster_in_use = 0
+      in
+      codecs_ok
+      && stack_ok Ldlp_core.Sched.Conventional
+      && stack_ok (Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default))
+
+let prop_sscop_survives_bytes =
+  QCheck.Test.make ~name:"sscop parse/receive survive arbitrary bytes" ~count:300
+    QCheck.(string_of_size Gen.(0 -- 16))
+    (fun s ->
+      let b = Bytes.of_string s in
+      let t = Sscop.create () in
+      ignore (Sscop.send t (Bytes.of_string "x"));
+      never_raises "Sscop.parse" (fun () -> Sscop.parse b)
+      && never_raises "Sscop.on_receive" (fun () -> Sscop.on_receive t b)
+      && Sscop.pending t <= 1)
 
 let suite =
   [
@@ -710,6 +1230,8 @@ let suite =
     Alcotest.test_case "sscop retransmit" `Quick test_sscop_retransmit;
     Alcotest.test_case "sscop malformed" `Quick test_sscop_malformed;
     QCheck_alcotest.to_alcotest prop_sscop_pipe;
+    Alcotest.test_case "sscop ack across the 2^24 wrap" `Quick test_sscop_ack_across_wrap;
+    Alcotest.test_case "sscop ring keeps order" `Quick test_sscop_ring_grows_in_order;
     Alcotest.test_case "conn establish" `Quick test_conn_establish;
     Alcotest.test_case "conn data+ack" `Quick test_conn_data_and_ack;
     Alcotest.test_case "conn send before ready" `Quick test_conn_send_before_ready;
@@ -726,8 +1248,18 @@ let suite =
     Alcotest.test_case "switch unknown callref" `Quick test_switch_unknown_callref;
     Alcotest.test_case "switch many calls" `Quick test_switch_many_calls;
     QCheck_alcotest.to_alcotest prop_switch_random_valid_scripts;
+    Alcotest.test_case "switch same ref on two ports" `Quick test_switch_same_ref_two_ports;
+    Alcotest.test_case "switch same refs on extreme ports" `Quick
+      test_switch_same_ref_extreme_ports;
+    QCheck_alcotest.to_alcotest prop_switch_legs_distinct;
+    Alcotest.test_case "switch many ports, same refs" `Quick
+      test_switch_many_ports_same_refs;
+    Alcotest.test_case "switch vci_of_call" `Quick test_switch_vci_of_call;
     Alcotest.test_case "layers end to end" `Quick test_layers_end_to_end;
     Alcotest.test_case "layers acks disabled" `Quick test_layers_no_acks_option;
     Alcotest.test_case "layers ldlp = conventional" `Quick
       test_layers_ldlp_equals_conventional;
+    Alcotest.test_case "signalling allocation pin" `Quick test_signalling_alloc_pin;
+    QCheck_alcotest.to_alcotest prop_decoders_survive_damage;
+    QCheck_alcotest.to_alcotest prop_sscop_survives_bytes;
   ]
