@@ -291,26 +291,25 @@ let run_check seed =
   (* 1. Differential replay: production cache vs the naive LRU oracle. *)
   let steps = 10_000 in
   List.iter
-    (fun (name, cfg) ->
+    (fun (name, unified, cfg) ->
       let rng = Ldlp_sim.Rng.create ~seed in
-      let ops =
-        Ldlp_check.Cache_oracle.random_ops ~rng
-          ~hot_lines:(3 * Ldlp_cache.Config.lines cfg)
-          steps
-      in
-      match Ldlp_check.Cache_oracle.differential cfg ops with
+      let ops = Ldlp_check.Cache_oracle.random_ops ~rng cfg steps in
+      match Ldlp_check.Cache_oracle.differential ~unified cfg ops with
       | Ok n -> Printf.printf "cache differential %-13s %d steps, no divergence\n" name n
       | Error d ->
         fail "cache differential %s FAILED: %a" name
           Ldlp_check.Cache_oracle.pp_divergence d)
     [
-      ("direct-mapped", Ldlp_cache.Config.paper_default);
-      ("2-way", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:2 ());
-      ("4-way", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:4 ());
+      ("direct-mapped", false, Ldlp_cache.Config.paper_default);
+      ("2-way", false, Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:2 ());
+      ("4-way", false, Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:4 ());
       (* One set, LRU over all lines: the shared Replace machinery's
          LRU-stack geometry (the flowtable's third scheme), covered by the
          same naive reference. *)
-      ("full-LRU", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:256 ());
+      ("full-LRU", false, Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:256 ());
+      (* Code, data and writes through one unified memory system: the
+         repeat memo sees ranges of every kind on one cache. *)
+      ("unified", true, Ldlp_cache.Config.paper_default);
     ];
   (* 1b. The unified flow table against its naive references: model
      fidelity per scheme, exact delivered state, charge accounting and

@@ -19,7 +19,17 @@ val access_line : t -> int -> bool
     hot path of the protocol-stack simulator. *)
 
 val touch_range : t -> addr:int -> len:int -> int
-(** Reference every line in a byte range; returns the number of misses. *)
+(** Reference every line in a byte range, lowest first; returns the number
+    of misses.  Equal to calling {!access_line} on each line in turn, in
+    misses, hit/miss counters and tag state.
+
+    The lines are walked as one {!Replace.access_run}.  When the range
+    spans at most [sets] lines, the cache also remembers it: if the next
+    state-changing call on this cache is [touch_range] over the same lines,
+    every line is already resident at MRU in its own set, so that call
+    adds the hits and returns [0] without walking the tags.  {!access},
+    {!access_line}, {!flush} and a different range forget the memo;
+    {!resident} and {!iter_resident} do not. *)
 
 val resident : t -> int -> bool
 (** Whether the line containing byte [addr] is currently cached (no state

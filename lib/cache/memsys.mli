@@ -90,10 +90,14 @@ val seconds : t -> float
 val seconds_of_cycles : t -> int -> float
 
 val counters : t -> counters
+(** A snapshot of the counters accumulated since the last
+    [take_counters] / creation.  Later accesses do not change a snapshot
+    already taken, so the difference of two snapshots is the cost of the
+    accesses between them. *)
 
 val take_counters : t -> counters
-(** Return counters accumulated since the last [take_counters] / creation and
-    reset them (cache contents are preserved). *)
+(** Like {!counters}, then reset all five counts to zero (cache contents
+    are preserved). *)
 
 val cold : t -> unit
 (** Flush both caches. *)

@@ -82,14 +82,40 @@ let access t key =
     end
   end
 
-let probe t key =
-  let set = key land t.mask in
-  let base = set * t.ways in
-  let rec find i =
-    if i >= t.ways then false
-    else t.tags.(base + i) = key || find (i + 1)
-  in
-  find 0
+(* Direct-mapped run: the compare-and-store of [access] inlined over
+   consecutive keys, with the fill/eviction split counted into locals and
+   written back once.  A key of the run may displace an earlier key of the
+   same run (when the run is longer than [sets]); the loop visits keys in
+   order, so that displacement is counted exactly as repeated [access]
+   would count it.  [key land mask] is within [0, sets - 1] for any key,
+   so the unchecked tag reads and writes stay in bounds. *)
+let access_run_direct t ~first ~last =
+  let tags = t.tags and mask = t.mask in
+  let misses = ref 0 and evicted = ref 0 in
+  for key = first to last do
+    let set = key land mask in
+    let old = Array.unsafe_get tags set in
+    if old <> key then begin
+      Array.unsafe_set tags set key;
+      incr misses;
+      if old >= 0 then incr evicted
+    end
+  done;
+  t.evictions <- t.evictions + !evicted;
+  t.filled <- t.filled + (!misses - !evicted);
+  !misses
+
+let access_run t ~first ~last =
+  if t.ways = 1 then access_run_direct t ~first ~last
+  else begin
+    let misses = ref 0 in
+    for key = first to last do
+      if not (access t key) then incr misses
+    done;
+    !misses
+  end
+
+let probe t key = find_way t (key land t.mask * t.ways) key 0 >= 0
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

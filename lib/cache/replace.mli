@@ -26,6 +26,15 @@ val access : t -> int -> bool
     (promoting [key] to MRU in its set), [false] on a miss (installing
     [key] at MRU, shifting the rest down and dropping the LRU victim). *)
 
+val access_run : t -> first:int -> last:int -> int
+(** [access_run t ~first ~last] references the keys [first], [first + 1],
+    ..., [last] in that order and returns how many missed ([0] when
+    [last < first]).  Equal to folding {!access} over the keys in misses,
+    tag state, {!occupancy} and {!evictions}.  On a direct-mapped table
+    ([ways = 1]) the loop inlines the compare-and-store and updates the
+    occupancy and eviction counts once per run; associative sets loop
+    {!access}.  Keys must be non-negative. *)
+
 val probe : t -> int -> bool
 (** Whether [key] is currently resident (no state change). *)
 

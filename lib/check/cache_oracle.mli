@@ -44,18 +44,32 @@ type op =
   | Access of int  (** Byte address. *)
   | Access_line of int
   | Touch_range of { addr : int; len : int }
+  | Retouch
+      (** Repeat the most recent [Touch_range] (an empty range if there
+          was none) — the case the cache's repeat-range memo answers
+          without walking the tags. *)
   | Probe of int  (** [resident] on a byte address (no state change). *)
   | Flush
 
 val pp_op : Format.formatter -> op -> unit
 
 val random_ops :
-  rng:Ldlp_sim.Rng.t -> ?hot_lines:int -> ?cold_span:int -> int -> op list
-(** A stream of [n] operations: mostly line accesses inside a hot working
-    set of [hot_lines] lines (default 3x the cache) so hits, misses,
-    evictions and set conflicts all occur; occasional far-away accesses
-    within [cold_span] lines, byte-granularity accesses, range touches,
-    residency probes, and rare flushes. *)
+  rng:Ldlp_sim.Rng.t ->
+  ?cold_span:int ->
+  Ldlp_cache.Config.t ->
+  int ->
+  op list
+(** A stream of [n] operations for a cache of the given geometry: mostly
+    line accesses inside a hot working set of 3x the cache's lines, so
+    hits, misses, evictions and set conflicts all occur; occasional
+    far-away accesses within [cold_span] lines, byte-granularity accesses,
+    range touches, residency probes, and rare flushes.
+
+    Range touches exercise the repeat memo: one in eight is line-aligned
+    and spans [sets - 1], [sets], [sets + 1] or more lines, and each may
+    be followed by [Retouch]es — straight after it, after a [Probe], after
+    enough accesses to other lines of one of the range's sets to evict one
+    of its lines, or after a [Flush]. *)
 
 type divergence = { step : int; op : op; detail : string }
 
@@ -63,6 +77,7 @@ val pp_divergence : Format.formatter -> divergence -> unit
 
 val differential :
   ?state_every:int ->
+  ?unified:bool ->
   Ldlp_cache.Config.t ->
   op list ->
   (int, divergence) result
@@ -70,4 +85,11 @@ val differential :
     oracle.  After every operation the hit/miss outcome and the hit/miss
     counters must agree; every [state_every] steps (default 64) and at the
     end of the stream the occupancy and the full resident-line sets must
-    also agree.  [Ok n] is the number of operations replayed. *)
+    also agree.  [Ok n] is the number of operations replayed.
+
+    With [unified] (default false) the subject is a unified
+    [Ldlp_cache.Memsys.t] built from the configuration instead: every
+    access, line access and range goes through it as a code fetch, data
+    read or write (rotating with the step number), and after every
+    operation its miss and stall counters must also match the oracle's
+    misses of each kind. *)

@@ -131,6 +131,63 @@ let prop_cache_second_access_hits =
       ignore (Cache.access c addr);
       Cache.access c addr)
 
+(* ---------- Replace ---------- *)
+
+let replace_state r =
+  let keys = ref [] in
+  Replace.iter r (fun k -> keys := k :: !keys);
+  (List.rev !keys, Replace.occupancy r, Replace.evictions r)
+
+(* [access_run] is folding [access] over the run: same misses, occupancy,
+   evictions and tag order, from any starting state (including runs longer
+   than the table, whose later keys displace earlier ones). *)
+let prop_access_run_is_fold =
+  QCheck.Test.make ~name:"Replace.access_run equals folding access" ~count:300
+    QCheck.(
+      triple (int_bound 2)
+        (list_of_size Gen.(0 -- 40) (int_bound 200))
+        (list_of_size Gen.(1 -- 6) (pair (int_bound 200) (int_range (-1) 40))))
+    (fun (ways_exp, warm, runs) ->
+      let ways = 1 lsl ways_exp in
+      let run_t = Replace.create ~sets:8 ~ways
+      and fold_t = Replace.create ~sets:8 ~ways in
+      List.iter
+        (fun k ->
+          ignore (Replace.access run_t k);
+          ignore (Replace.access fold_t k))
+        warm;
+      List.for_all
+        (fun (first, span) ->
+          let last = first + span in
+          let m_run = Replace.access_run run_t ~first ~last in
+          let m_fold = ref 0 in
+          for k = first to last do
+            if not (Replace.access fold_t k) then incr m_fold
+          done;
+          m_run = !m_fold && replace_state run_t = replace_state fold_t)
+        runs)
+
+let test_touch_range_repeat () =
+  (* The repeat memo: a second touch of the same range is all hits and
+     leaves the tags alone; an aliasing access in between clears it. *)
+  let c = Cache.create (Config.v ~size_bytes:1024 ~line_bytes:32 ()) in
+  checki "cold range" 4 (Cache.touch_range c ~addr:64 ~len:128);
+  checki "repeat" 0 (Cache.touch_range c ~addr:64 ~len:128);
+  checki "hits" 4 (Cache.hits c);
+  check "probe" true (Cache.resident c 64);
+  checki "repeat after probe" 0 (Cache.touch_range c ~addr:64 ~len:128);
+  ignore (Cache.access c (64 + 1024));
+  checki "repeat after alias" 1 (Cache.touch_range c ~addr:64 ~len:128);
+  Cache.flush c;
+  checki "repeat after flush" 4 (Cache.touch_range c ~addr:64 ~len:128);
+  (* Longer than the 32-line cache: the range evicts its own head, so a
+     repeat misses lines 0-7 and 32-39 again. *)
+  Cache.flush c;
+  checki "long range" 40 (Cache.touch_range c ~addr:0 ~len:(40 * 32));
+  checki "long repeat" 16 (Cache.touch_range c ~addr:0 ~len:(40 * 32));
+  checki "hits" (4 + 4 + 3 + 24) (Cache.hits c);
+  checki "misses" (4 + 1 + 1 + 4 + 40 + 16) (Cache.misses c)
+
 (* ---------- Memsys ---------- *)
 
 let test_memsys_stall_accounting () =
@@ -167,6 +224,69 @@ let test_memsys_take_counters () =
   Memsys.read_data m ~addr:0 ~len:32;
   let c3 = Memsys.counters m in
   checki "still warm" 0 c3.Memsys.dcache_misses
+
+let zero_counters =
+  Memsys.
+    {
+      icache_misses = 0;
+      dcache_misses = 0;
+      write_misses = 0;
+      exec_cycles = 0;
+      stall_cycles = 0;
+    }
+
+let test_memsys_snapshots () =
+  let m = Memsys.create () in
+  (* Rebuild the counters from the probe stream alongside. *)
+  let seen = ref zero_counters in
+  Memsys.set_probe m
+    (Some
+       (fun ev ->
+         let c = !seen in
+         seen :=
+           match ev with
+           | Memsys.Fetch_code { misses; stall; _ } ->
+             {
+               c with
+               icache_misses = c.icache_misses + misses;
+               stall_cycles = c.stall_cycles + stall;
+             }
+           | Read_data { misses; _ } ->
+             {
+               c with
+               dcache_misses = c.dcache_misses + misses;
+               stall_cycles = c.stall_cycles + (misses * 20);
+             }
+           | Write_data { misses; _ } ->
+             { c with write_misses = c.write_misses + misses }
+           | Execute { cycles } ->
+             { c with exec_cycles = c.exec_cycles + cycles }));
+  let run () =
+    Memsys.fetch_code m ~addr:0 ~len:256;
+    Memsys.read_data m ~addr:4096 ~len:64;
+    Memsys.write_data m ~addr:8192 ~len:32;
+    Memsys.charge_read m ~addr:0 ~len:8 ~misses:3;
+    Memsys.execute m 100
+  in
+  let counts icache_misses dcache_misses write_misses exec_cycles stall_cycles
+      =
+    Memsys.
+      { icache_misses; dcache_misses; write_misses; exec_cycles; stall_cycles }
+  in
+  run ();
+  let before = Memsys.counters m in
+  check "first snapshot" true (before = counts 8 5 1 100 (13 * 20));
+  (* The repeat is all hits but the three charged misses. *)
+  run ();
+  let after = Memsys.counters m in
+  check "earlier snapshot unchanged" true (before = counts 8 5 1 100 (13 * 20));
+  check "later snapshot" true (after = counts 8 8 1 200 (16 * 20));
+  check "probe stream rebuilds counters" true (after = !seen);
+  let taken = Memsys.take_counters m in
+  check "take returns the counts" true (taken = after);
+  check "take zeroes all five" true (Memsys.counters m = zero_counters);
+  checki "cycles zeroed" 0 (Memsys.cycles m);
+  check "taken snapshot unchanged" true (taken = after)
 
 let test_memsys_cold () =
   let m = Memsys.create () in
@@ -321,10 +441,13 @@ let suite =
     Alcotest.test_case "flush/occupancy" `Quick test_flush_occupancy;
     QCheck_alcotest.to_alcotest prop_cache_fits_capacity;
     QCheck_alcotest.to_alcotest prop_cache_second_access_hits;
+    Alcotest.test_case "touch range repeat" `Quick test_touch_range_repeat;
+    QCheck_alcotest.to_alcotest prop_access_run_is_fold;
     Alcotest.test_case "memsys stalls" `Quick test_memsys_stall_accounting;
     Alcotest.test_case "memsys writes" `Quick test_memsys_write_no_stall;
     Alcotest.test_case "memsys execute/time" `Quick test_memsys_execute_and_time;
     Alcotest.test_case "memsys take counters" `Quick test_memsys_take_counters;
+    Alcotest.test_case "memsys counter snapshots" `Quick test_memsys_snapshots;
     Alcotest.test_case "memsys cold" `Quick test_memsys_cold;
     Alcotest.test_case "memsys unified" `Quick test_memsys_unified;
     Alcotest.test_case "memsys prefetch" `Quick test_memsys_prefetch;

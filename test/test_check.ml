@@ -45,11 +45,10 @@ let test_oracle_flush_and_occupancy () =
 
 (* The acceptance bar: >= 10k-step random streams over direct-mapped,
    2-way and 4-way paper-sized configs, zero divergence. *)
-let differential_config name cfg () =
+let differential_config ?unified name cfg () =
   let rng = Ldlp_sim.Rng.create ~seed:2024 in
-  let hot_lines = 3 * Ldlp_cache.Config.lines cfg in
-  let ops = Cache_oracle.random_ops ~rng ~hot_lines 10_000 in
-  match Cache_oracle.differential cfg ops with
+  let ops = Cache_oracle.random_ops ~rng cfg 10_000 in
+  match Cache_oracle.differential ?unified cfg ops with
   | Ok n -> checki (name ^ ": all steps replayed") 10_000 n
   | Error d ->
     Alcotest.failf "%s diverged: %a" name Cache_oracle.pp_divergence d
@@ -65,19 +64,22 @@ let test_differential_4way =
   differential_config "4-way"
     (Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:4 ())
 
+let test_differential_unified =
+  differential_config ~unified:true "unified memsys"
+    Ldlp_cache.Config.paper_default
+
 let prop_differential_random_configs =
   QCheck.Test.make ~name:"cache differential holds on random configs/streams"
     ~count:30
-    QCheck.(pair (int_bound 10_000) (int_bound 2))
-    (fun (seed, assoc_exp) ->
+    QCheck.(triple (int_bound 10_000) (int_bound 2) bool)
+    (fun (seed, assoc_exp, unified) ->
       let cfg =
         Ldlp_cache.Config.v ~size_bytes:2048 ~line_bytes:16
           ~associativity:(1 lsl assoc_exp) ()
       in
       let rng = Ldlp_sim.Rng.create ~seed in
-      let hot_lines = 3 * Ldlp_cache.Config.lines cfg in
-      let ops = Cache_oracle.random_ops ~rng ~hot_lines 800 in
-      match Cache_oracle.differential ~state_every:16 cfg ops with
+      let ops = Cache_oracle.random_ops ~rng cfg 800 in
+      match Cache_oracle.differential ~state_every:16 ~unified cfg ops with
       | Ok _ -> true
       | Error d ->
         QCheck.Test.fail_reportf "diverged: %a" Cache_oracle.pp_divergence d)
@@ -324,6 +326,8 @@ let suite =
       test_differential_direct;
     Alcotest.test_case "differential 2-way 10k" `Quick test_differential_2way;
     Alcotest.test_case "differential 4-way 10k" `Quick test_differential_4way;
+    Alcotest.test_case "differential unified memsys 10k" `Quick
+      test_differential_unified;
     QCheck_alcotest.to_alcotest prop_differential_random_configs;
     Alcotest.test_case "differential detects divergence" `Quick
       test_differential_detects_divergence;
