@@ -4,7 +4,7 @@
 
 DOMAINS ?= 2
 
-.PHONY: all build test fmt promote selftest oracle engine-parity soak soak-duplex mesh shards recovery flows bench-sweeps bench-hotpath bench-alloc bench-soak bench-mesh bench-shards bench-recovery bench-flows check
+.PHONY: all build test fmt promote hotpath-lint selftest oracle engine-parity soak soak-duplex mesh shards recovery flows bench-sweeps bench-hotpath bench-alloc bench-soak bench-mesh bench-shards bench-recovery bench-flows check
 
 all: build
 
@@ -22,6 +22,32 @@ fmt:
 
 promote:
 	dune promote
+
+# No polymorphic comparison on the per-segment path.  After a
+# release-profile build of lib/, no object of the receive-and-ACK
+# libraries may reference Stdlib's polymorphic min/max or a polymorphic
+# compare primitive: each is a call (the primitives a C call) where
+# Int.min/Int.max or a typed comparison is a single instruction.
+# caml_hash stays allowed: it is the flow table's slot hash.  Symbols
+# are matched with either separator ("." before OCaml 5.2, "$" after).
+HOTPATH_LIBS = buf packet tcpmini core flowtable
+HOTPATH_SYMBOLS = camlStdlib[.$$](min|max)_[0-9]+|caml_(compare|equal|notequal|lessequal|lessthan|greaterequal|greaterthan)\b
+
+hotpath-lint:
+	dune build --profile release @lib/default
+	@fail=0; \
+	for d in $(HOTPATH_LIBS); do \
+	  objs=$$(find _build/default/lib/$$d -path '*.objs/native/*.o'); \
+	  if [ -z "$$objs" ]; then echo "hotpath-lint: no objects in lib/$$d"; exit 1; fi; \
+	  for o in $$objs; do \
+	    hits=$$(objdump -dr $$o | grep -E '$(HOTPATH_SYMBOLS)'); \
+	    if [ -n "$$hits" ]; then echo "$$o:"; echo "$$hits"; fail=1; fi; \
+	  done; \
+	done; \
+	if [ $$fail -ne 0 ]; then \
+	  echo "hotpath-lint: polymorphic comparison in $(HOTPATH_LIBS)"; exit 1; \
+	fi; \
+	echo "hotpath-lint OK"
 
 selftest: build
 	dune exec bin/ldlp_repro.exe -- selftest --domains $(DOMAINS)

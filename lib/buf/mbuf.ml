@@ -88,7 +88,7 @@ let append_bytes pool m b =
   while !pos < total do
     let space = trailing_space !tail in
     if space > 0 then begin
-      let n = min space (total - !pos) in
+      let n = Int.min space (total - !pos) in
       Bytes.blit b !pos !tail.data (!tail.off + !tail.len) n;
       !tail.len <- !tail.len + n;
       pos := !pos + n
@@ -148,7 +148,7 @@ let prepend m n =
 
 (* Trim [n] bytes from the front of the chain. *)
 let rec trim_front m n =
-  let take = min n m.len in
+  let take = Int.min n m.len in
   m.off <- m.off + take;
   m.len <- m.len - take;
   if n - take > 0 then
@@ -177,7 +177,7 @@ let adj m n =
 let rec blit_from m pos dst dst_off len =
   if pos >= m.len then blit_next m (pos - m.len) dst dst_off len
   else begin
-    let n = min len (m.len - pos) in
+    let n = Int.min len (m.len - pos) in
     Bytes.blit m.data (m.off + pos) dst dst_off n;
     if len - n > 0 then blit_next m 0 dst (dst_off + n) (len - n)
   end
@@ -203,7 +203,7 @@ let copy_into m ~pos ~(src : bytes) ~src_off ~len =
     | Some m ->
       if pos >= m.len then go (pos - m.len) src_off len m.next
       else begin
-        let n = min len (m.len - pos) in
+        let n = Int.min len (m.len - pos) in
         Bytes.blit src src_off m.data (m.off + pos) n;
         if len - n > 0 then go 0 (src_off + n) (len - n) m.next
       end

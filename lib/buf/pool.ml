@@ -62,7 +62,7 @@ let push t fl b =
   if fl.n < t.max_free then begin
     if fl.n = Array.length fl.slots then begin
       let grown =
-        Array.make (min t.max_free (max 16 (2 * fl.n))) Bytes.empty
+        Array.make (Int.min t.max_free (Int.max 16 (2 * fl.n))) Bytes.empty
       in
       Array.blit fl.slots 0 grown 0 fl.n;
       fl.slots <- grown

@@ -111,7 +111,7 @@ let differential ~scheme ~slots ops =
        | Memsys.Read_data { misses; _ } -> probed := !probed + misses
        | _ -> ()));
   let subject =
-    Ft.create ~scheme ~slots ~memsys
+    Ft.create ~scheme ~slots ~memsys ~equal:Int.equal
       ~name:(Printf.sprintf "oracle-%s" (Ft.scheme_name scheme))
       ()
   in
@@ -221,7 +221,7 @@ let trace_equivalence ~seed ~scheme =
     in
     let arrivals = Ldlp_traffic.Flowmix.stream mix lookups in
     let t =
-      Ft.create ~scheme ~slots:256
+      Ft.create ~scheme ~slots:256 ~equal:Int.equal
         ~name:(Printf.sprintf "trace-%s" (Ft.scheme_name scheme))
         ()
     in

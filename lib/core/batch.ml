@@ -13,7 +13,7 @@ let limit policy ~sizes =
     | All -> List.length sizes
     | Fixed n ->
       if n < 1 then invalid_arg "Batch.limit: Fixed n must be >= 1";
-      min n (List.length sizes)
+      Int.min n (List.length sizes)
     | Dcache_fit { cache_bytes; per_msg_overhead } ->
       let rec count n used = function
         | [] -> n
@@ -46,7 +46,7 @@ let limit_fn policy ~len ~size =
     | All -> len
     | Fixed n ->
       if n < 1 then invalid_arg "Batch.limit_fn: Fixed n must be >= 1";
-      min n len
+      Int.min n len
     | Dcache_fit { cache_bytes; per_msg_overhead } ->
       dcache_count ~len ~size ~per_msg_overhead ~cache_bytes 0 0
 

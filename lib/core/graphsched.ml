@@ -54,7 +54,8 @@ let add_layer t ?(above = []) layer =
   let depth =
     match parents with
     | [] -> 0
-    | ps -> 1 + List.fold_left (fun acc (_, p) -> min acc p.depth) max_int ps
+    | ps ->
+      1 + List.fold_left (fun acc (_, p) -> Int.min acc p.depth) max_int ps
   in
   let up_route =
     match parents with
@@ -84,7 +85,7 @@ let roots t =
    attaches after the graph is built; the sheet rows must match
    registration order exactly. *)
 let attach_metrics t m =
-  if Metrics.layer_names m <> t.order then
+  if not (List.equal String.equal (Metrics.layer_names m) t.order) then
     invalid_arg "Graphsched.attach_metrics: sheet rows <> registration order";
   Engine.attach_metrics t.eng m
 

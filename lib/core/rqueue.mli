@@ -4,7 +4,9 @@
     traffic on every enqueue of the engine's per-node queues.  This ring
     buffer allocates only when it grows (doubling, so growth is amortised
     away once a workload's high-watermark is reached) — push, pop and
-    indexed peek are allocation-free.
+    indexed peek are allocation-free.  The capacity is always a power of
+    two, so they are also division-free: a slot index is masked, not
+    reduced modulo the capacity.
 
     Popped slots are {e not} cleared: the engine's messages are pooled
     and outlive the queue reference anyway, and clearing would put a

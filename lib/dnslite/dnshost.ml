@@ -29,6 +29,9 @@ type t = {
   mutable ident : int;
 }
 
+let txn_equal (ip, (port : int), (id : int)) (ip', port', id') =
+  Int32.equal ip ip' && port = port' && id = id'
+
 let create ~pool ~mac ~ip ?(port = 53) ~server () =
   {
     pool;
@@ -36,7 +39,8 @@ let create ~pool ~mac ~ip ?(port = 53) ~server () =
     my_ip = ip;
     port;
     srv = server;
-    txns = Ldlp_flowtable.Flowtable.create ~name:"dns-txn" ();
+    txns =
+      Ldlp_flowtable.Flowtable.create ~equal:txn_equal ~name:"dns-txn" ();
     c =
       {
         frames_in = 0;

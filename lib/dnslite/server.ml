@@ -25,7 +25,8 @@ let create ~zone () =
   let t =
     {
       (* [buckets] matches the Hashtbl.create 64 this zone map replaced. *)
-      zone = Flowtable.create ~buckets:64 ~name:"dns-zone" ();
+      zone =
+        Flowtable.create ~buckets:64 ~equal:String.equal ~name:"dns-zone" ();
       s = { queries = 0; answered = 0; nxdomain = 0; refused = 0; malformed = 0 };
     }
   in

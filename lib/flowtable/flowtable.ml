@@ -21,6 +21,20 @@ type stats = {
   removes : int;
 }
 
+(* The exact backing store: [Stdlib.Hashtbl]'s bucket layout (so [iter]
+   and [fold] visit entries in the same order as a [Hashtbl] driven with
+   the same ops), with the key hash computed once per operation and
+   passed in, keys compared with the table's monomorphic [equal], and
+   each entry holding the [Some v] that [lookup] returns, so a lookup
+   allocates nothing. *)
+type ('k, 'v) bucket =
+  | Empty
+  | Cons of {
+      mutable key : 'k;
+      mutable hit : 'v option; (* always [Some]: what [lookup] returns *)
+      mutable next : ('k, 'v) bucket;
+    }
+
 type ('k, 'v) t = {
   tbl_name : string;
   tbl_scheme : scheme;
@@ -28,7 +42,9 @@ type ('k, 'v) t = {
   entry_bytes : int;
   set_mask : int; (* sets - 1, for the batch sort key *)
   rep : Replace.t; (* front-cache model over slot hashes *)
-  backing : ('k, 'v) Hashtbl.t; (* exact; correctness never depends on rep *)
+  equal : 'k -> 'k -> bool;
+  mutable data : ('k, 'v) bucket array; (* exact; never depends on rep *)
+  mutable size : int;
   mutable memsys : Memsys.t option;
   mutable owner : int; (* -1 = unclaimed; else domain id *)
   mutable lookups : int;
@@ -53,8 +69,14 @@ let geometry scheme slots =
       invalid_arg "Flowtable.create: slots not divisible by associativity";
     (slots / w, w)
 
+(* [Stdlib.Hashtbl.create]'s initial bucket count. *)
+let rec power_2_above x n =
+  if x >= n then x
+  else if x * 2 > Sys.max_array_length then x
+  else power_2_above (x * 2) n
+
 let create ?(scheme = Set_assoc 4) ?(slots = 1024) ?(entry_bytes = 64)
-    ?(buckets = 64) ?memsys ~name () =
+    ?(buckets = 64) ?memsys ~equal ~name () =
   if not (is_pow2 slots) then
     invalid_arg "Flowtable.create: slots must be a power of two";
   if entry_bytes <= 0 then
@@ -69,7 +91,9 @@ let create ?(scheme = Set_assoc 4) ?(slots = 1024) ?(entry_bytes = 64)
     entry_bytes;
     set_mask = sets - 1;
     rep = Replace.create ~sets ~ways;
-    backing = Hashtbl.create buckets;
+    equal;
+    data = Array.make (power_2_above 16 buckets) Empty;
+    size = 0;
     memsys;
     owner = -1;
     lookups = 0;
@@ -117,10 +141,16 @@ let model_access t h =
         ~misses:1
   end
 
+let bucket_index t h = h land (Array.length t.data - 1)
+
+let rec find_in equal k = function
+  | Empty -> None
+  | Cons c -> if equal c.key k then c.hit else find_in equal k c.next
+
 let lookup_hashed t h k =
   t.lookups <- t.lookups + 1;
   model_access t h;
-  match Hashtbl.find_opt t.backing k with
+  match find_in t.equal k t.data.(bucket_index t h) with
   | Some _ as r ->
     t.found <- t.found + 1;
     r
@@ -132,17 +162,70 @@ let lookup t k =
   guard t;
   lookup_hashed t (Hashtbl.hash k) k
 
+(* Double the bucket array, keeping each new bucket's entries in their
+   old relative order ([Stdlib.Hashtbl]'s resize).  Entries are copied,
+   not relinked, so an [iter] or [fold] that inserts keeps walking the
+   array it started on. *)
+let resize t =
+  let nsize = 2 * Array.length t.data in
+  if nsize < Sys.max_array_length then begin
+    let ndata = Array.make nsize Empty and tails = Array.make nsize Empty in
+    let rec move = function
+      | Empty -> ()
+      | Cons { key; hit; next } ->
+        let cell = Cons { key; hit; next = Empty } in
+        let i = Hashtbl.hash key land (nsize - 1) in
+        (match tails.(i) with
+        | Empty -> ndata.(i) <- cell
+        | Cons tail -> tail.next <- cell);
+        tails.(i) <- cell;
+        move next
+    in
+    Array.iter move t.data;
+    t.data <- ndata
+  end
+
+let rec replace_in equal k v = function
+  | Empty -> false
+  | Cons c ->
+    if equal c.key k then begin
+      c.key <- k;
+      c.hit <- Some v;
+      true
+    end
+    else replace_in equal k v c.next
+
 let insert t k v =
   guard t;
   t.inserts <- t.inserts + 1;
-  model_access t (Hashtbl.hash k);
-  Hashtbl.replace t.backing k v
+  let h = Hashtbl.hash k in
+  model_access t h;
+  let i = bucket_index t h in
+  let l = t.data.(i) in
+  if not (replace_in t.equal k v l) then begin
+    t.data.(i) <- Cons { key = k; hit = Some v; next = l };
+    t.size <- t.size + 1;
+    if t.size > 2 * Array.length t.data then resize t
+  end
+
+let rec remove_in t i k prec = function
+  | Empty -> ()
+  | Cons c as cell ->
+    if t.equal c.key k then begin
+      t.size <- t.size - 1;
+      match prec with
+      | Empty -> t.data.(i) <- c.next
+      | Cons p -> p.next <- c.next
+    end
+    else remove_in t i k cell c.next
 
 let remove t k =
   guard t;
   t.removes <- t.removes + 1;
-  model_access t (Hashtbl.hash k);
-  Hashtbl.remove t.backing k
+  let h = Hashtbl.hash k in
+  model_access t h;
+  let i = bucket_index t h in
+  remove_in t i k Empty t.data.(i)
 
 let mem t k = match lookup t k with Some _ -> true | None -> false
 
@@ -166,11 +249,23 @@ let lookup_batch t keys =
   Array.iter (fun i -> out.(i) <- lookup_hashed t hs.(i) keys.(i)) order;
   out
 
-let length t = Hashtbl.length t.backing
+let length t = t.size
 
-let iter f t = Hashtbl.iter f t.backing
+let iter f t =
+  let rec walk = function
+    | Empty -> ()
+    | Cons { key; hit; next } ->
+      f key (Option.get hit);
+      walk next
+  in
+  Array.iter walk t.data
 
-let fold f t acc = Hashtbl.fold f t.backing acc
+let fold f t acc =
+  let rec walk acc = function
+    | Empty -> acc
+    | Cons { key; hit; next } -> walk (f key (Option.get hit) acc) next
+  in
+  Array.fold_left walk acc t.data
 
 let flush_cache t = Replace.flush t.rep
 

@@ -7,11 +7,18 @@
 
     Correctness and cost are deliberately split:
 
-    - The {e backing store} is an exact polymorphic hash table.  Every
+    - The {e backing store} is an exact hash table.  Every
       [lookup]/[insert]/[remove] is exact regardless of scheme — delivered
       state never depends on the modeled cache, which is what makes the
       cross-scheme equivalence check in [Ldlp_check.Flowtable_oracle] hold
-      by construction.
+      by construction.  It is hash-once: each operation computes
+      [Hashtbl.hash] of the key a single time and uses it both as the
+      model's slot hash and as the bucket index.  Keys are compared with
+      the monomorphic [equal] given to {!create}, never with polymorphic
+      compare, and a lookup allocates nothing.  Its bucket layout is
+      [Stdlib.Hashtbl]'s (initial size, insertion at the bucket head,
+      in-place replace, order-preserving doubling), so {!iter} and
+      {!fold} visit entries in the order a [Hashtbl] would.
     - The {e front cache model} charges what the lookup {e would} cost in
       D-cache terms: a [scheme]-shaped [Ldlp_cache.Replace] array over
       flow-slot hashes, [slots] entries of [entry_bytes] each.  Model
@@ -61,6 +68,7 @@ val create :
   ?entry_bytes:int ->
   ?buckets:int ->
   ?memsys:Ldlp_cache.Memsys.t ->
+  equal:('k -> 'k -> bool) ->
   name:string ->
   unit ->
   ('k, 'v) t
@@ -69,7 +77,8 @@ val create :
     divisible by the associativity.  [buckets] is the initial bucket count
     of the exact backing table; callers replacing a bare [Hashtbl] pass
     their previous [Hashtbl.create] size so iteration order is preserved
-    (see {!iter}). *)
+    (see {!iter}).  [equal] decides key equality; keys it equates must
+    have equal [Hashtbl.hash] (true of structural equality). *)
 
 val name : _ t -> string
 
@@ -81,6 +90,7 @@ val attach_memsys : _ t -> Ldlp_cache.Memsys.t option -> unit
 (** Route model-miss charging into (or detach it from) a memory system. *)
 
 val lookup : ('k, 'v) t -> 'k -> 'v option
+(** Allocates nothing: a hit returns the option stored with the entry. *)
 
 val insert : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace. *)

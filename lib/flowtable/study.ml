@@ -55,7 +55,7 @@ let replay table ~ldlp ~batch arrivals =
   else begin
     let off = ref 0 in
     while !off < n do
-      let len = min batch (n - !off) in
+      let len = Int.min batch (n - !off) in
       let out = Flowtable.lookup_batch table (Array.sub arrivals !off len) in
       Array.iter (fun v -> digest := digest_add !digest v) out;
       off := !off + len
@@ -79,7 +79,7 @@ let run ?(config = quick) ~flows ~seed () =
     (fun scheme ->
       let table =
         Flowtable.create ~scheme ~slots:config.slots
-          ~buckets:(min flows 65536)
+          ~buckets:(Int.min flows 65536) ~equal:Int.equal
           ~name:(Printf.sprintf "study-%s" (Flowtable.scheme_name scheme))
           ()
       in
@@ -106,6 +106,12 @@ let run ?(config = quick) ~flows ~seed () =
         [ false; true ])
     Flowtable.all_schemes
 
+let same_scheme a b =
+  match (a, b) with
+  | Flowtable.Direct, Flowtable.Direct | Lru_stack, Lru_stack -> true
+  | Set_assoc x, Set_assoc y -> x = y
+  | _ -> false
+
 let render ?(config = quick) ~rows ~seed () =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -129,7 +135,8 @@ let render ?(config = quick) ~rows ~seed () =
           let find ldlp =
             List.find
               (fun r ->
-                r.r_flows = flows && r.r_scheme = scheme && r.r_ldlp = ldlp)
+                r.r_flows = flows && same_scheme r.r_scheme scheme
+                && r.r_ldlp = ldlp)
               rows
           in
           let conv = find false and ldlp = find true in

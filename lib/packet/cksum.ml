@@ -39,8 +39,10 @@ external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external get16u : bytes -> int -> int = "%caml_bytes_get16u"
 
 (* Both 32-bit halves of a native-order 8-byte load.  The int64 never
-   leaves registers, so this allocates nothing. *)
-let halves buf k =
+   leaves registers, so this allocates nothing.  Inlined so the loops in
+   [partial] make no calls: left to the compiler's default it stays a
+   call per 8-byte word. *)
+let[@inline] halves buf k =
   let w = get64u buf k in
   (Int64.to_int w land 0xFFFF_FFFF)
   + Int64.to_int (Int64.shift_right_logical w 32)

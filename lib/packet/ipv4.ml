@@ -155,7 +155,7 @@ let strip ?verify_checksum m =
   let len = Ldlp_buf.Mbuf.length m in
   if len < header_bytes then Error (`Too_short len)
   else begin
-    let hdr_max = min len 60 in
+    let hdr_max = Int.min len 60 in
     let hdr = Ldlp_buf.Mbuf.copy_out m ~pos:0 ~len:hdr_max in
     match parse ?verify_checksum hdr 0 hdr_max with
     | Error _ as e -> e

@@ -39,7 +39,7 @@ let create ?sscop ?(t303 = 4.0) ?(t308 = 30.0) () =
     (* [buckets] matches the Hashtbl.create 16 this map replaced: the
        backing store's fold order — which drives tick/deadline event
        ordering in the mesh storms — is preserved byte for byte. *)
-    calls = Flowtable.create ~buckets:16 ~name:"uni-calls" ();
+    calls = Flowtable.create ~buckets:16 ~equal:Int.equal ~name:"uni-calls" ();
     ready = false;
   }
 

@@ -523,11 +523,11 @@ let parse_tx t item =
         let len = Mbuf.length m in
         (* Up to the largest header (data offset 15 = 60 bytes), so a
            segment carrying options parses too. *)
-        let hdr = Mbuf.copy_out m ~pos:0 ~len:(min len 60) in
+        let hdr = Mbuf.copy_out m ~pos:0 ~len:(Int.min len 60) in
         match Pkt.Tcp.parse hdr 0 (Bytes.length hdr) with
         | Error _ -> None
         | Ok (h, _) ->
-          let data_off = min len (h.Pkt.Tcp.data_offset * 4) in
+          let data_off = Int.min len (h.Pkt.Tcp.data_offset * 4) in
           let payload = Mbuf.copy_out m ~pos:data_off ~len:(len - data_off) in
           Some (h, payload)))
   in

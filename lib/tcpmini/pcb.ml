@@ -41,6 +41,9 @@ module Flowtable = Ldlp_flowtable.Flowtable
 
 type key = int * int32 * int (* local port, remote ip, remote port *)
 
+let key_equal ((port, ip, rport) : key) (port', ip', rport') =
+  port = port' && Int32.equal ip ip' && rport = rport'
+
 type stats = {
   lookups : int;
   cache_hits : int;
@@ -73,7 +76,7 @@ let create_table () =
     (* [buckets] matches the Hashtbl.create 64 this table replaced, so the
        exact backing store behaves identically; the modeled front cache
        rides behind the paper's one-entry cache. *)
-    conns = Flowtable.create ~buckets:64 ~name:"tcp-pcb" ();
+    conns = Flowtable.create ~buckets:64 ~equal:key_equal ~name:"tcp-pcb" ();
     listeners = Hashtbl.create 8;
     cache = None;
     cache_port = 0;

@@ -82,8 +82,8 @@ val find :
   t option
 (** {!lookup} with the remote address and port as separate arguments, for
     the input path: a cache hit allocates nothing, a cache miss only the
-    flow-table key and the option the table returns (which then becomes
-    the cache entry). *)
+    flow-table key tuple (the option returned, which then becomes the
+    cache entry, is the one stored in the table). *)
 
 val insert_connection :
   table -> listener:t -> remote:Ldlp_packet.Addr.Ipv4.t * int -> t

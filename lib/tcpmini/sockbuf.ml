@@ -27,12 +27,12 @@ let hiwat t = t.hiwat
 
 let length t = t.len
 
-let space t = max 0 (t.hiwat - t.len)
+let space t = Int.max 0 (t.hiwat - t.len)
 
 let push t chunk =
   let cap = Array.length t.ring in
   if t.count = cap then begin
-    let grown = Array.make (max 8 (2 * cap)) Bytes.empty in
+    let grown = Array.make (Int.max 8 (2 * cap)) Bytes.empty in
     for i = 0 to t.count - 1 do
       grown.(i) <- t.ring.((t.head + i) land (cap - 1))
     done;
@@ -45,7 +45,7 @@ let push t chunk =
 (* The only copy of a received payload: straight from the mbuf chain
    into a chunk of exactly the accepted size. *)
 let append t m =
-  let accept = min (Ldlp_buf.Mbuf.length m) (space t) in
+  let accept = Int.min (Ldlp_buf.Mbuf.length m) (space t) in
   if accept > 0 then begin
     if t.len = 0 then t.wakeups <- t.wakeups + 1;
     let chunk = Bytes.create accept in
@@ -56,13 +56,13 @@ let append t m =
   accept
 
 let read t n =
-  let n = min n t.len in
+  let n = Int.min n t.len in
   let out = Bytes.create n in
   let pos = ref 0 in
   while !pos < n do
     let front = t.ring.(t.head) in
     let avail = Bytes.length front - t.read_off in
-    let take = min avail (n - !pos) in
+    let take = Int.min avail (n - !pos) in
     Bytes.blit front t.read_off out !pos take;
     pos := !pos + take;
     t.read_off <- t.read_off + take;

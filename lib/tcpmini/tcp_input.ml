@@ -336,7 +336,7 @@ let segment_arrived table ~my_ip ~src_ip ~pool ~now m =
   end
   else begin
     let total = Mbuf.length m in
-    let m = Mbuf.pullup pool m (min total Tcp.header_bytes) in
+    let m = Mbuf.pullup pool m (Int.min total Tcp.header_bytes) in
     (* A header carrying options is pulled up whole (at most 60 bytes) so
        the fields and the option bytes can be read in place. *)
     let m =

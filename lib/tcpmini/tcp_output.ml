@@ -10,6 +10,7 @@ let segment pool ~src ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window
   Mbuf.append_bytes pool m payload;
   let m = Mbuf.prepend m Tcp.header_bytes in
   Tcp.write ~src_port ~dst_port ~seq ~ack ~data_offset:5 ~flags
-    ~window:(min window 0xFFFF) ~urgent:0 (Mbuf.seg_data m) (Mbuf.seg_off m);
+    ~window:(Int.min window 0xFFFF) ~urgent:0 (Mbuf.seg_data m)
+    (Mbuf.seg_off m);
   Tcp.store_chain_checksum ~src ~dst m;
   m

@@ -15,7 +15,7 @@ let schemes = Ft.all_schemes
    table, the reference and an order-sensitive digest of everything the
    lookups delivered. *)
 let interp ?(slots = 64) scheme ops =
-  let t = Ft.create ~scheme ~slots ~name:"qcheck" () in
+  let t = Ft.create ~scheme ~slots ~equal:Int.equal ~name:"qcheck" () in
   let reference : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let digest = ref 0 in
   List.iter
@@ -92,7 +92,7 @@ let prop_batch_matches_unsorted =
 let eviction_counts ~seed scheme =
   let module R = Ldlp_sim.Rng in
   let rng = R.create ~seed in
-  let t = Ft.create ~scheme ~slots:64 ~name:"evict" () in
+  let t = Ft.create ~scheme ~slots:64 ~equal:Int.equal ~name:"evict" () in
   for k = 0 to 255 do
     Ft.insert t k (k * 7)
   done;
@@ -126,7 +126,11 @@ let domain_run ~domains =
     (fun i ->
       let module R = Ldlp_sim.Rng in
       let rng = R.create ~seed:(41 + i) in
-      let t = Ft.create ~slots:128 ~name:(Printf.sprintf "dom-%d" i) () in
+      let t =
+        Ft.create ~slots:128 ~equal:Int.equal
+          ~name:(Printf.sprintf "dom-%d" i)
+          ()
+      in
       let digest = ref 0 in
       for k = 0 to 511 do
         Ft.insert t k (k * 3)
@@ -147,7 +151,9 @@ let test_domains_identical () =
    discipline as Msg pools, so a shard can never silently read another
    shard's flow state. *)
 let test_ownership_tripwire () =
-  let t : (int, int) Ft.t = Ft.create ~name:"tripwire" () in
+  let t : (int, int) Ft.t =
+    Ft.create ~equal:Int.equal ~name:"tripwire" ()
+  in
   Ft.insert t 1 10;
   check "first guarded access claims an owner" true (Ft.owner t <> None);
   (match
@@ -162,21 +168,176 @@ let test_ownership_tripwire () =
   check "owner still works after the tripwire fired" true
     (Ft.lookup t 1 = Some 10)
 
+(* ---------- Backing-store layout = Stdlib.Hashtbl ---------- *)
+
+(* One key type for the layout property: how to build key [i] (injective
+   in [i]) and the monomorphic equality the table is created with. *)
+type 'k keyspec = {
+  label : string;
+  key_of : int -> 'k;
+  equal : 'k -> 'k -> bool;
+}
+
+let int_keys = { label = "int"; key_of = Fun.id; equal = Int.equal }
+
+let string_keys =
+  {
+    label = "string";
+    key_of = Printf.sprintf "host-%d.example";
+    equal = String.equal;
+  }
+
+(* Pcb-shaped (local port, remote ip, remote port) keys under a custom
+   equality, as [Ldlp_tcpmini.Pcb] creates its table. *)
+let pcb_keys =
+  {
+    label = "pcb";
+    key_of =
+      (fun i ->
+        ( 80 + (i land 3),
+          Int32.add 0x0A000000l (Int32.of_int (i lsr 2)),
+          1024 + (i mod 7) ));
+    equal =
+      (fun ((p, ip, rp) : int * int32 * int) (p', ip', rp') ->
+        p = p' && Int32.equal ip ip' && rp = rp');
+  }
+
+(* Whether [k] sits strictly inside its Hashtbl bucket (an entry before
+   and after it): [fold] walks the buckets in index order, each from its
+   head. *)
+let mid_bucket reference k =
+  let nb = (Hashtbl.stats reference).Hashtbl.num_buckets in
+  let b = Hashtbl.hash k land (nb - 1) in
+  let bucket =
+    List.filter
+      (fun k' -> Hashtbl.hash k' land (nb - 1) = b)
+      (List.rev (Hashtbl.fold (fun k' _ acc -> k' :: acc) reference []))
+  in
+  let rec index i = function
+    | [] -> -1
+    | k' :: rest -> if k' = k then i else index (i + 1) rest
+  in
+  let i = index 0 bucket in
+  i > 0 && i < List.length bucket - 1
+
+(* Replay [ops] (kind, key index) on a flow table and on a Stdlib.Hashtbl
+   created with the same [buckets], after enough distinct inserts to
+   force three doublings.  Lookups, [length] and the [iter]/[fold] visit
+   orders must agree after every op, and an insert must change what
+   [lookup] returns (the stored [Some] is refreshed).  Returns how many
+   removes unlinked an entry from the middle of its bucket. *)
+let replay_layout spec ~buckets ops =
+  let t = Ft.create ~buckets ~equal:spec.equal ~name:"layout" () in
+  let reference = Hashtbl.create ~random:false buckets in
+  let fail fmt =
+    QCheck.Test.fail_reportf
+      ("%s keys, buckets %d: " ^^ fmt)
+      spec.label buckets
+  in
+  let pairs_of_iter iter =
+    let acc = ref [] in
+    iter (fun k v -> acc := (k, v) :: !acc);
+    !acc
+  in
+  let cons k v acc = (k, v) :: acc in
+  let same_state () =
+    if Ft.length t <> Hashtbl.length reference then fail "length diverges";
+    if
+      pairs_of_iter (fun f -> Ft.iter f t)
+      <> pairs_of_iter (fun f -> Hashtbl.iter f reference)
+    then fail "iter order diverges";
+    if Ft.fold cons t [] <> Hashtbl.fold cons reference [] then
+      fail "fold order diverges"
+  in
+  let initial = (Hashtbl.stats reference).Hashtbl.num_buckets in
+  let warm = (8 * initial) + 1 in
+  let middle_removes = ref 0 in
+  let step n (kind, i) =
+    let k = spec.key_of i in
+    (match kind with
+    | 0 | 1 | 2 ->
+      (* Values are op numbers, so a replace always changes the value. *)
+      Ft.insert t k n;
+      Hashtbl.replace reference k n;
+      if Ft.lookup t k <> Some n then
+        fail "insert did not refresh the stored value"
+    | 3 ->
+      if Hashtbl.mem reference k && mid_bucket reference k then
+        incr middle_removes;
+      Ft.remove t k;
+      Hashtbl.remove reference k
+    | _ ->
+      if Ft.lookup t k <> Hashtbl.find_opt reference k then
+        fail "lookup diverges");
+    same_state ()
+  in
+  List.iteri (fun n i -> step n (0, i)) (List.init warm Fun.id);
+  if (Hashtbl.stats reference).Hashtbl.num_buckets < 8 * initial then
+    fail "fewer than three resizes";
+  List.iteri (fun n (kind, i) -> step (warm + n) (kind, i mod (warm + 64))) ops;
+  !middle_removes
+
+let prop_layout_matches_hashtbl =
+  QCheck.Test.make
+    ~name:"backing store = Stdlib.Hashtbl (lookups, length, order)" ~count:20
+    QCheck.(
+      pair (oneofl [ 1; 16; 24 ])
+        (list_of_size (Gen.return 400) (pair (int_bound 4) (int_bound 1023))))
+    (fun (buckets, ops) ->
+      let middle =
+        replay_layout int_keys ~buckets ops
+        + replay_layout string_keys ~buckets ops
+        + replay_layout pcb_keys ~buckets ops
+      in
+      if middle = 0 then
+        QCheck.Test.fail_report "no remove from the middle of a bucket";
+      true)
+
+(* ---------- Allocation pins ---------- *)
+
+(* Minor words [f] allocates, less what the two [Gc.minor_words] probes
+   cost on their own. *)
+let minor_words_of f =
+  let probe g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  probe f -. probe ignore
+
+let test_lookup_allocates_nothing () =
+  let t = Ft.create ~equal:Int.equal ~name:"alloc" () in
+  for k = 0 to 255 do
+    Ft.insert t k (k * 3)
+  done;
+  let lookups k =
+    minor_words_of (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Ft.lookup t k))
+        done)
+  in
+  Alcotest.(check (float 0.)) "1000 hits" 0. (lookups 17);
+  Alcotest.(check (float 0.)) "1000 misses" 0. (lookups 4096)
+
 (* ---------- Units ---------- *)
 
 let test_create_validation () =
   Alcotest.check_raises "non-pow2 slots"
     (Invalid_argument "Flowtable.create: slots must be a power of two")
-    (fun () -> ignore (Ft.create ~slots:1000 ~name:"bad" () : (int, int) Ft.t));
+    (fun () ->
+      ignore
+        (Ft.create ~slots:1000 ~equal:Int.equal ~name:"bad" ()
+          : (int, int) Ft.t));
   Alcotest.check_raises "indivisible associativity"
     (Invalid_argument "Flowtable.create: slots not divisible by associativity")
     (fun () ->
       ignore
-        (Ft.create ~scheme:(Ft.Set_assoc 3) ~slots:64 ~name:"bad" ()
+        (Ft.create ~scheme:(Ft.Set_assoc 3) ~slots:64 ~equal:Int.equal
+          ~name:"bad" ()
           : (int, int) Ft.t))
 
 let test_flush_preserves_backing () =
-  let t = Ft.create ~name:"flush" () in
+  let t = Ft.create ~equal:Int.equal ~name:"flush" () in
   Ft.insert t 5 50;
   Ft.flush_cache t;
   check "backing survives a cache flush" true (Ft.lookup t 5 = Some 50);
@@ -196,4 +357,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scheme_independent;
     QCheck_alcotest.to_alcotest prop_batch_matches_unsorted;
     QCheck_alcotest.to_alcotest prop_seeded_eviction;
+    QCheck_alcotest.to_alcotest prop_layout_matches_hashtbl;
+    Alcotest.test_case "lookup allocates nothing" `Quick
+      test_lookup_allocates_nothing;
   ]

@@ -131,6 +131,41 @@ let prop_cksum_reference =
       Ldlp_buf.Mbuf.free pool m;
       ok)
 
+(* Every length 0-96 at every start offset 0-7: crosses each boundary
+   between [Cksum.partial]'s 32-byte, 8-byte, 16-bit and odd-byte loops
+   at every alignment.  Random bytes and all-0xFF bytes (maximal carries);
+   the byte after the range is set so an over-read would show. *)
+let test_cksum_tail_sweep () =
+  let rng = Ldlp_sim.Rng.create ~seed:1071 in
+  List.iter
+    (fun fill ->
+      for off = 0 to 7 do
+        for len = 0 to 96 do
+          let b = Bytes.init (off + len + 1) (fun _ -> fill ()) in
+          Bytes.set b (off + len) '\xA5';
+          let expect = reference_cksum b off len in
+          let range = Bytes.sub b off len in
+          let m = Ldlp_buf.Mbuf.of_bytes pool ~leading:off range in
+          let split = chain_of_pieces range [ len / 2 ] off in
+          let case name got =
+            if got <> expect then
+              Alcotest.failf "%s len %d off %d: %04x, reference %04x" name len
+                off got expect
+          in
+          case "partial" (Cksum.finish (Cksum.partial b off len));
+          case "unrolled" (Cksum.unrolled b off len);
+          case "partial_chain" (Cksum.finish (Cksum.partial_chain m));
+          case "partial_chain split"
+            (Cksum.finish (Cksum.partial_chain split));
+          Ldlp_buf.Mbuf.free pool m;
+          Ldlp_buf.Mbuf.free pool split
+        done
+      done)
+    [
+      (fun () -> Char.chr (Ldlp_sim.Rng.int rng 256));
+      (fun () -> '\xFF');
+    ]
+
 let prop_tcp_verify_reference =
   QCheck.Test.make ~name:"Tcp.verify_checksum agrees with the reference"
     ~count:300 cksum_case_arb (fun (b, off, cuts, lead) ->
@@ -751,6 +786,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chain_eq_flat;
     QCheck_alcotest.to_alcotest prop_chain_eq_flat_with_splits;
     QCheck_alcotest.to_alcotest prop_cksum_reference;
+    Alcotest.test_case "cksum tail sweep" `Quick test_cksum_tail_sweep;
     QCheck_alcotest.to_alcotest prop_tcp_verify_reference;
     Alcotest.test_case "cksum footprints" `Quick test_cksum_footprints;
     Alcotest.test_case "mac roundtrip" `Quick test_mac_roundtrip;

@@ -180,6 +180,40 @@ let test_pcb_drop () =
   | Some pcb -> check "listener again" true (pcb == l)
   | None -> Alcotest.fail "lookup after drop"
 
+(* Two connections looked up in turn, so every [find] misses the
+   one-entry cache and goes to the flow table: the only allocation left
+   is the flow-table key tuple (header + three fields). *)
+let test_pcb_find_miss_allocates_key_only () =
+  let t = Pcb.create_table () in
+  let l = Pcb.listen t ~port:80 () in
+  let ip_a = ipa "10.0.0.9" and ip_b = ipa "10.0.0.10" in
+  let a = Pcb.insert_connection t ~listener:l ~remote:(ip_a, 1234) in
+  let b = Pcb.insert_connection t ~listener:l ~remote:(ip_b, 1234) in
+  let finds = 1000 in
+  let probe g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let words =
+    probe (fun () ->
+        for _ = 1 to finds / 2 do
+          match
+            ( Pcb.find t ~local_port:80 ~remote_ip:ip_a ~remote_port:1234,
+              Pcb.find t ~local_port:80 ~remote_ip:ip_b ~remote_port:1234 )
+          with
+          | Some x, Some y when x == a && y == b -> ()
+          | _ -> Alcotest.fail "find returned the wrong connection"
+        done)
+    -. probe ignore
+  in
+  let s = Pcb.stats t in
+  checki "no cache hits" 0 s.Pcb.cache_hits;
+  let per_find = words /. float_of_int finds in
+  if per_find > 4.0 then
+    Alcotest.failf "Pcb.find on a cache miss allocates %.2f words (key: 4)"
+      per_find
+
 (* ---------- Host / tcp_input end-to-end ---------- *)
 
 let client_ip = ipa "10.1.0.2"
@@ -1083,10 +1117,10 @@ let test_rx_ack_alloc_pin () =
   let per_segment = !words /. float_of_int segments in
   Printf.printf "rx-ack alloc pin: %.1f minor words/segment (copy %d)\n"
     per_segment copy_words;
-  if per_segment > float_of_int (copy_words + 48) then
+  if per_segment > float_of_int (copy_words + 46) then
     Alcotest.failf
       "receive-and-ACK path allocates %.1f minor words/segment (payload copy \
-       %d + at most 48 allowed)"
+       %d + at most 46 allowed)"
       per_segment copy_words
 
 let suite =
@@ -1106,6 +1140,8 @@ let suite =
     Alcotest.test_case "pcb double listen" `Quick test_pcb_double_listen_rejected;
     Alcotest.test_case "pcb cache hits" `Quick test_pcb_cache_hits;
     Alcotest.test_case "pcb drop" `Quick test_pcb_drop;
+    Alcotest.test_case "pcb find miss allocates only its key" `Quick
+      test_pcb_find_miss_allocates_key_only;
     Alcotest.test_case "handshake" `Quick test_handshake;
     Alcotest.test_case "data + delayed ack" `Quick test_data_delivery_and_delayed_ack;
     Alcotest.test_case "out of order dup-ack" `Quick test_out_of_order_dup_ack;
