@@ -25,12 +25,13 @@ promote:
 
 # No polymorphic comparison on the per-segment path.  After a
 # release-profile build of lib/, no object of the receive-and-ACK
-# libraries may reference Stdlib's polymorphic min/max or a polymorphic
+# libraries or of sigproto (the Q.93B call-storm layers) may reference
+# Stdlib's polymorphic min/max or a polymorphic
 # compare primitive: each is a call (the primitives a C call) where
 # Int.min/Int.max or a typed comparison is a single instruction.
 # caml_hash stays allowed: it is the flow table's slot hash.  Symbols
 # are matched with either separator ("." before OCaml 5.2, "$" after).
-HOTPATH_LIBS = buf packet tcpmini core flowtable
+HOTPATH_LIBS = buf packet tcpmini core flowtable sigproto
 HOTPATH_SYMBOLS = camlStdlib[.$$](min|max)_[0-9]+|caml_(compare|equal|notequal|lessequal|lessthan|greaterequal|greaterthan)\b
 
 hotpath-lint:

@@ -21,14 +21,7 @@ val limit : policy -> sizes:int list -> int
 (** [limit p ~sizes] is how many of the pending messages (byte sizes given
     front-of-queue first) one batch may take.  Always at least 1 when any
     message is pending — a message larger than the cache must still be
-    processed. *)
-
-val limit_fn : policy -> len:int -> size:(int -> int) -> int
-(** {!limit} without the intermediate list: [size k] is the byte size of
-    the [k]-th pending message (front of queue first), queried for
-    [k < len] in order until the policy stops.  Agrees with
-    [limit p ~sizes] whenever [size] enumerates [sizes] — the hot-path
-    form used by the engine so computing a batch bound allocates
-    nothing. *)
+    processed.  {!Engine} bounds its entry quanta with the same arithmetic,
+    reading the sizes in place from the entry node's queue. *)
 
 val pp : Format.formatter -> policy -> unit

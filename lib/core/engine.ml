@@ -6,20 +6,30 @@ type discipline = Conventional | Ldlp of Batch.policy
 type target = To_node of int | To_up | To_down | Misroute
 
 type 'a node = {
+  idx : int;
   layer : 'a Layer.t;
-  use_tx : bool;
+  handler : 'a Msg.t -> 'a Layer.action list;
+      (* [layer.handle] or [layer.handle_tx], chosen once at [add_node]. *)
   priority : int;
   mutable entry : bool;
   up_route : target;
   to_route : string -> target;
   down_route : target;
-  queue : 'a Msg.t Rqueue.t;
-  size_at : int -> int;
-      (* Byte size of the k-th queued message — prebuilt once per node so
-         the batch-limit scan in the quantum loop allocates no closure. *)
+  mutable up_dest : 'a dest;
+  mutable down_dest : 'a dest;
+  (* The queue: a ring of capacity 0 or 2^k (k >= 6), indexed with [land];
+     typed, so an access needs no float-array tag test. *)
+  mutable ring : 'a Msg.t array;
+  mutable head : int;
+  mutable len : int;
   mutable handled : int;
   mutable runs : int;
 }
+
+(* A route as the hop follows it: [To_node j] resolved to node [j]
+   itself.  [Unresolved j] names a node that did not exist at resolution;
+   taking it looks [j] up, which raises unless the node has appeared. *)
+and 'a dest = Node of 'a node | Up | Down | Drop | Unresolved of int
 
 type stats = {
   injected : int;
@@ -39,9 +49,13 @@ type 'a t = {
   discipline : discipline;
   mutable nodes : 'a node array;
   mutable nnodes : int;
+  mutable order : 'a node array;
+      (* Nodes by priority, ties in index order; the first non-empty one
+         runs next.  Rebuilt with the routes while [resolved] is false. *)
+  mutable resolved : bool;
   up : 'a Msg.t -> unit;
   down : 'a Msg.t -> unit;
-  on_handled : int -> 'a Layer.t -> 'a Msg.t -> unit;
+  on_handled : (int -> 'a Layer.t -> 'a Msg.t -> unit) option;
   on_consume : 'a Msg.t -> unit;
   mutable injected : int;
   mutable to_up : int;
@@ -62,16 +76,21 @@ type 'a t = {
   mutable duplex_split : int;  (* first tx node of a duplex engine, or -1 *)
 }
 
-let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ())
-    ?(on_handled = fun _ _ _ -> ()) ?(on_consume = fun _ -> ()) ?intake_limit
-    ?(on_shed = fun _ -> ()) () =
+let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ()) ?on_handled
+    ?(on_consume = fun _ -> ()) ?intake_limit ?(on_shed = fun _ -> ()) () =
   (match intake_limit with
   | Some n when n < 1 -> invalid_arg "Engine.create: intake_limit < 1"
   | _ -> ());
+  (match discipline with
+  | Ldlp (Batch.Fixed n) when n < 1 ->
+    invalid_arg "Engine.create: Fixed batch size < 1"
+  | Ldlp (Batch.Fixed _ | Batch.Dcache_fit _ | Batch.All) | Conventional -> ());
   {
     discipline;
     nodes = [||];
     nnodes = 0;
+    order = [||];
+    resolved = true;
     up;
     down;
     on_handled;
@@ -103,37 +122,62 @@ let node t i =
 
 let node_name t i = (node t i).layer.Layer.name
 
-let mk_node ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route =
-  let queue = Rqueue.create () in
-  {
-    layer;
-    use_tx;
-    priority;
-    entry;
-    up_route;
-    to_route;
-    down_route;
-    queue;
-    size_at = (fun k -> (Rqueue.get queue k).Msg.size);
-    handled = 0;
-    runs = 0;
-  }
-
 let add_node t ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route =
-  let n = mk_node ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route in
-  if t.nnodes = Array.length t.nodes then begin
-    let grown = Array.make (Int.max 4 (2 * Array.length t.nodes)) n in
-    Array.blit t.nodes 0 grown 0 t.nnodes;
+  let i = t.nnodes in
+  let n =
+    {
+      idx = i;
+      layer;
+      handler = (if use_tx then layer.Layer.handle_tx else layer.Layer.handle);
+      priority;
+      entry;
+      up_route;
+      to_route;
+      down_route;
+      (* Set by [resolve] before the next step. *)
+      up_dest = Unresolved (-1);
+      down_dest = Unresolved (-1);
+      ring = [||];
+      head = 0;
+      len = 0;
+      handled = 0;
+      runs = 0;
+    }
+  in
+  if i = Array.length t.nodes then begin
+    let grown = Array.make (Int.max 4 (2 * i)) n in
+    Array.blit t.nodes 0 grown 0 i;
     t.nodes <- grown
   end;
-  let i = t.nnodes in
   t.nodes.(i) <- n;
   t.nnodes <- i + 1;
+  t.resolved <- false;
   i
 
 let set_entry t i e = (node t i).entry <- e
 
 let is_entry t i = (node t i).entry
+
+let dest_of t = function
+  | To_node j ->
+    if j >= 0 && j < t.nnodes then Node t.nodes.(j) else Unresolved j
+  | To_up -> Up
+  | To_down -> Down
+  | Misroute -> Drop
+
+(* Once per [add_node] burst, before the next step: point every route at
+   its node and sort the nodes into scheduling order (the stable sort
+   keeps equal priorities in index order). *)
+let resolve t =
+  for i = 0 to t.nnodes - 1 do
+    let n = t.nodes.(i) in
+    n.up_dest <- dest_of t n.up_route;
+    n.down_dest <- dest_of t n.down_route
+  done;
+  let order = Array.sub t.nodes 0 t.nnodes in
+  Array.stable_sort (fun a b -> Int.compare b.priority a.priority) order;
+  t.order <- order;
+  t.resolved <- true
 
 let attach_metrics t m =
   if Metrics.nlayers m <> t.nnodes then
@@ -143,10 +187,35 @@ let attach_metrics t m =
   if t.intake_limit <> None then t.shed_sc <- Metrics.scalar m "shed";
   t.metrics <- Some m
 
+(* ---------- the node ring ---------- *)
+
+let grow n fill =
+  let cap = Array.length n.ring in
+  let ring = Array.make (Int.max 64 (2 * cap)) fill in
+  for k = 0 to n.len - 1 do
+    ring.(k) <- n.ring.((n.head + k) land (cap - 1))
+  done;
+  n.ring <- ring;
+  n.head <- 0
+
+(* The masked index is always inside the ring, which is non-empty after
+   [grow], so the accesses skip the bounds check. *)
+let push n m =
+  if n.len = Array.length n.ring then grow n m;
+  Array.unsafe_set n.ring ((n.head + n.len) land (Array.length n.ring - 1)) m;
+  n.len <- n.len + 1
+
+(* The caller has seen [n.len > 0]. *)
+let pop n =
+  let m = Array.unsafe_get n.ring n.head in
+  n.head <- (n.head + 1) land (Array.length n.ring - 1);
+  n.len <- n.len - 1;
+  m
+
 let try_inject t ~node:i msg =
   let n = node t i in
   match t.intake_limit with
-  | Some limit when Rqueue.length n.queue >= limit ->
+  | Some limit when n.len >= limit ->
     (* Overload: refuse at the door.  The message never counts as
        injected, so the idle conservation invariants are untouched; the
        owner reclaims its payload in [on_shed]. *)
@@ -157,59 +226,59 @@ let try_inject t ~node:i msg =
   | _ ->
     t.injected <- t.injected + 1;
     t.enqueued <- t.enqueued + 1;
-    Rqueue.push n.queue msg;
+    push n msg;
     (match t.metrics with
     | None -> ()
     | Some mt ->
-      let d = Rqueue.length n.queue in
-      Metrics.arrival mt ~depth:d;
-      Metrics.queue_depth mt i d);
+      Metrics.arrival mt ~depth:n.len;
+      Metrics.queue_depth mt i n.len);
     true
 
 let inject t ~node msg = ignore (try_inject t ~node msg)
 
-let backlog t ~node:i = Rqueue.length (node t i).queue
+let backlog t ~node:i = (node t i).len
 
 (* Toplevel recursions, not local [let rec]s: a local recursive helper
    that captures [t] is a fresh closure on every call, and [pending] /
-   [next_ready] run once per quantum / per step on the allocation-free
+   [ready_from] run once per quantum / per step on the allocation-free
    hot path. *)
 let rec pending_from t i acc =
-  if i >= t.nnodes then acc
-  else pending_from t (i + 1) (acc + Rqueue.length t.nodes.(i).queue)
+  if i >= t.nnodes then acc else pending_from t (i + 1) (acc + t.nodes.(i).len)
 
 let pending t = pending_from t 0 0
 
-(* Run one message through node [i]'s handler and dispatch its actions.
-   [recurse] processes [To_node] routes immediately, depth-first
-   (conventional); otherwise the target's queue receives them (LDLP).
+(* ---------- the hop ---------- *)
+
+(* Run one message through node [n]'s handler and dispatch its actions.
+   [recurse] processes node routes immediately, depth-first
+   (conventional); otherwise the target's ring receives them (LDLP).
    The dispatch loop is hand-rolled recursion — no [List.iter] closure,
    no per-call handler closure — so a quantum over layers that answer
    with the static {!Layer.up_only}/[down_only] lists touches the heap
    not at all. *)
-let rec handle t i msg ~recurse =
-  let n = t.nodes.(i) in
-  if t.last_ran <> i then begin
+let rec handle t n msg ~recurse =
+  if t.last_ran <> n.idx then begin
     n.runs <- n.runs + 1;
-    t.last_ran <- i
+    t.last_ran <- n.idx
   end;
-  t.on_handled i n.layer msg;
+  (match t.on_handled with None -> () | Some f -> f n.idx n.layer msg);
   n.handled <- n.handled + 1;
-  (match t.metrics with None -> () | Some mt -> Metrics.handled mt i);
   let actions =
-    (* Gc sampling around the handler only (not the dispatch below), so a
-       recursive traversal in conventional mode cannot double-attribute
-       one node's allocations to the node that forwarded to it. *)
     match t.metrics with
-    | Some mt when Obs.enabled () ->
-      let w0 = Gc.minor_words () in
-      let actions =
-        if n.use_tx then n.layer.Layer.handle_tx msg else n.layer.Layer.handle msg
-      in
-      Metrics.alloc mt i (int_of_float (Gc.minor_words () -. w0));
-      actions
-    | _ ->
-      if n.use_tx then n.layer.Layer.handle_tx msg else n.layer.Layer.handle msg
+    | None -> n.handler msg
+    | Some mt ->
+      Metrics.handled mt n.idx;
+      if Obs.enabled () then begin
+        (* Gc sampling around the handler only (not the dispatch below),
+           so a recursive traversal in conventional mode cannot
+           double-attribute one node's allocations to the node that
+           forwarded to it. *)
+        let w0 = Gc.minor_words () in
+        let actions = n.handler msg in
+        Metrics.alloc mt n.idx (int_of_float (Gc.minor_words () -. w0));
+        actions
+      end
+      else n.handler msg
   in
   dispatch t n msg actions ~recurse
 
@@ -221,37 +290,43 @@ and dispatch t n msg actions ~recurse =
     | Layer.Consume ->
       t.consumed <- t.consumed + 1;
       t.on_consume msg
-    | Layer.Up -> route t n.up_route msg ~recurse
-    | Layer.Down -> route t n.down_route msg ~recurse
-    | Layer.Deliver_up m -> route t n.up_route m ~recurse
-    | Layer.Deliver_to (name, m) -> route t (n.to_route name) m ~recurse
-    | Layer.Send_down m -> route t n.down_route m ~recurse);
+    | Layer.Up -> route t n.up_dest msg ~recurse
+    | Layer.Down -> route t n.down_dest msg ~recurse
+    | Layer.Deliver_up m -> route t n.up_dest m ~recurse
+    | Layer.Deliver_to (name, m) -> (
+      (* Named per message, so resolved per message. *)
+      match n.to_route name with
+      | To_node j -> forward t (node t j) m ~recurse
+      | r -> route t (dest_of t r) m ~recurse)
+    | Layer.Send_down m -> route t n.down_dest m ~recurse);
     dispatch t n msg rest ~recurse
 
-and route t target m ~recurse =
-  match target with
-  | To_up ->
+and route t dest m ~recurse =
+  match dest with
+  | Node n -> forward t n m ~recurse
+  | Up ->
     t.to_up <- t.to_up + 1;
     t.up m
-  | To_down ->
+  | Down ->
     t.to_down <- t.to_down + 1;
     t.down m
-  | Misroute -> t.misrouted <- t.misrouted + 1
-  | To_node j ->
-    if recurse then begin
-      t.dequeued <- t.dequeued + 1;
-      (* Account the forward as if it passed through the queue, so the
-         idle flow-balance invariant holds for both disciplines. *)
-      t.enqueued <- t.enqueued + 1;
-      handle t j m ~recurse
-    end
-    else begin
-      t.enqueued <- t.enqueued + 1;
-      Rqueue.push (node t j).queue m;
-      match t.metrics with
-      | None -> ()
-      | Some mt -> Metrics.queue_depth mt j (Rqueue.length t.nodes.(j).queue)
-    end
+  | Drop -> t.misrouted <- t.misrouted + 1
+  | Unresolved j -> forward t (node t j) m ~recurse
+
+and forward t n m ~recurse =
+  (* A recursive forward is accounted as if it passed through the ring,
+     so the idle flow-balance invariant holds for both disciplines. *)
+  t.enqueued <- t.enqueued + 1;
+  if recurse then begin
+    t.dequeued <- t.dequeued + 1;
+    handle t n m ~recurse
+  end
+  else begin
+    push n m;
+    match t.metrics with
+    | None -> ()
+    | Some mt -> Metrics.queue_depth mt n.idx n.len
+  end
 
 let record_batch t n =
   t.batches <- t.batches + 1;
@@ -259,62 +334,75 @@ let record_batch t n =
   t.total_batched <- t.total_batched + n;
   match t.metrics with None -> () | Some mt -> Metrics.batch_run mt n
 
-(* Non-empty node with the highest priority; ties go to the earliest
-   node, so graph traversal stays deterministic. *)
-let rec next_ready_from t i best =
-  if i < 0 then best
-  else
-    let best =
-      if
-        (not (Rqueue.is_empty t.nodes.(i).queue))
-        && (best < 0 || t.nodes.(i).priority >= t.nodes.(best).priority)
-      then i
-      else best
+(* Position in [order] of the first non-empty node, or -1. *)
+let rec ready_from order k =
+  if k >= Array.length order then -1
+  else if (Array.unsafe_get order k).len > 0 then k
+  else ready_from order (k + 1)
+
+(* [Batch.limit]'s [Dcache_fit] arithmetic over the sizes of the messages
+   in the entry node's ring, read in place. *)
+let rec dcache_count n ~cache_bytes ~per_msg_overhead k used =
+  if k >= n.len then k
+  else begin
+    let m =
+      Array.unsafe_get n.ring ((n.head + k) land (Array.length n.ring - 1))
     in
-    next_ready_from t (i - 1) best
+    let used = used + m.Msg.size + per_msg_overhead in
+    if used > cache_bytes && k > 0 then k
+    else dcache_count n ~cache_bytes ~per_msg_overhead (k + 1) used
+  end
 
-let next_ready t = next_ready_from t (t.nnodes - 1) (-1)
-
-let pop t i =
-  t.dequeued <- t.dequeued + 1;
-  Rqueue.pop (node t i).queue
-
-let step_conventional t =
-  match next_ready t with
-  | -1 -> false
-  | i ->
-    record_batch t 1;
-    handle t i (pop t i) ~recurse:true;
-    true
-
-let step_ldlp t policy =
-  match next_ready t with
-  | -1 -> false
-  | i when t.nodes.(i).entry ->
-    (* Entry point: yield after one D-cache-sized batch so message data
-       is still resident when the nodes further along run. *)
-    let nd = t.nodes.(i) in
-    let n = Batch.limit_fn policy ~len:(Rqueue.length nd.queue) ~size:nd.size_at in
-    Invariant.check
-      (n >= 1 && n <= Rqueue.length nd.queue)
-      "Engine.step: batch limit outside [1, backlog]";
-    record_batch t n;
-    for _ = 1 to n do
-      handle t i (pop t i) ~recurse:false
-    done;
-    true
-  | i ->
-    (* Run to completion: apply this node to every message it has queued
-       before anything else runs. *)
-    while not (Rqueue.is_empty t.nodes.(i).queue) do
-      handle t i (pop t i) ~recurse:false
-    done;
-    true
+let entry_limit policy n =
+  match policy with
+  | Batch.All -> n.len
+  | Batch.Fixed b -> Int.min b n.len
+  | Batch.Dcache_fit { cache_bytes; per_msg_overhead } ->
+    dcache_count n ~cache_bytes ~per_msg_overhead 0 0
 
 let step t =
-  match t.discipline with
-  | Conventional -> step_conventional t
-  | Ldlp policy -> step_ldlp t policy
+  if not t.resolved then resolve t;
+  let k = ready_from t.order 0 in
+  if k < 0 then false
+  else begin
+    let n = Array.unsafe_get t.order k in
+    (match t.discipline with
+    | Conventional ->
+      record_batch t 1;
+      t.dequeued <- t.dequeued + 1;
+      handle t n (pop n) ~recurse:true
+    | Ldlp policy ->
+      if n.entry then begin
+        (* Entry point: yield after one D-cache-sized batch so message
+           data is still resident when the nodes further along run. *)
+        let b = entry_limit policy n in
+        Invariant.check
+          (b >= 1 && b <= n.len)
+          "Engine.step: batch limit outside [1, backlog]";
+        record_batch t b;
+        for _ = 1 to b do
+          t.dequeued <- t.dequeued + 1;
+          handle t n (pop n) ~recurse:false
+        done
+      end
+      else
+        (* Run to completion: apply this node to every message it has
+           queued before anything else runs. *)
+        while n.len > 0 do
+          t.dequeued <- t.dequeued + 1;
+          handle t n (pop n) ~recurse:false
+        done);
+    true
+  end
+
+(* Toplevel, so [Invariant.checkf] takes them without a closure. *)
+let drained t = pending t = 0
+
+let balanced t = t.dequeued = t.enqueued
+
+let batches_sane t = t.batches = 0 || t.max_batch >= 1
+
+let batched_le_dequeued t = t.total_batched <= t.dequeued
 
 let run t =
   while step t do
@@ -323,15 +411,11 @@ let run t =
   (* Engine-level idle invariants; the facades layer their shape-specific
      conservation equations (which need to know which routes are
      terminal) on top of these. *)
-  Invariant.check (pending t = 0) "Engine.run: idle with pending messages";
-  Invariant.check
-    (t.dequeued = t.enqueued)
+  Invariant.checkf drained t "Engine.run: idle with pending messages";
+  Invariant.checkf balanced t
     "Engine.run: enqueued messages not all handled at idle";
-  Invariant.check
-    (t.batches = 0 || t.max_batch >= 1)
-    "Engine.run: recorded a batch smaller than 1";
-  Invariant.check
-    (t.total_batched <= t.dequeued)
+  Invariant.checkf batches_sane t "Engine.run: recorded a batch smaller than 1";
+  Invariant.checkf batched_le_dequeued t
     "Engine.run: more batched dequeues than dequeues"
 
 let stats t =

@@ -30,7 +30,19 @@
     assign ascending values along each traversal so a message near its
     exit always pre-empts newly arrived work.  Ties break toward the
     earliest-registered node, which keeps graph scheduling
-    deterministic. *)
+    deterministic.
+
+    {b What one hop costs.}  LDLP pays off only when handing a message
+    from one layer's batch to the next costs less than the I-cache
+    refills it saves, so a hop is one ring write and one ring read.  Each
+    node's queue is a power-of-two ring typed ['a Msg.t array] inside the
+    node record: no float-array tag test, no bounds check on the masked
+    index, no emptiness re-test in the quantum loops.  Routes are
+    resolved to node records, and a priority-ordered node array built,
+    once after {!add_node} and before the next {!step}.  The handler is
+    chosen once per node, an absent [on_handled] hook costs one test, and
+    the entry [Dcache_fit] bound reads sizes from the ring in place.
+    Both disciplines share this one hop. *)
 
 type discipline = Conventional | Ldlp of Batch.policy
 
@@ -70,8 +82,10 @@ val create :
   unit ->
   'a t
 (** An empty engine.  [up]/[down] receive messages routed {!To_up} /
-    {!To_down}; [on_handled node_index layer msg] fires before every
-    handler invocation.  [on_consume] fires when a layer answers
+    {!To_down}; [on_handled node_index layer msg], when given, fires
+    before every handler invocation.  Raises [Invalid_argument] on an
+    [Ldlp (Fixed n)] discipline with [n < 1], so every builder over the
+    engine rejects such a policy before any message is queued.  [on_consume] fires when a layer answers
     {!Layer.Consume} — the natural place to release a pooled message
     that ends its life inside the stack.  [intake_limit] (≥ 1) bounds
     every injection queue with the drop-at-the-door policy: an arrival
@@ -96,7 +110,9 @@ val add_node :
     nodes take batch-bounded quanta under LDLP; non-entry nodes run to
     completion.  Routes may name nodes not yet added ([To_node j] with
     [j >= node_count]) only if they are added before any message takes
-    that route. *)
+    that route; a message taking a route to a node that was never added
+    raises [Invalid_argument].  Routes are resolved to nodes at the next
+    {!step}, so adding nodes between steps is allowed. *)
 
 val set_entry : 'a t -> int -> bool -> unit
 (** Change a node's entry-point status (used by {!Graphsched} while the

@@ -28,23 +28,25 @@ type 'a t = {
 }
 
 let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ())
-    ?(on_handled = fun _ _ _ -> ()) ?on_consume ?intake_limit
+    ?on_handled ?on_consume ?intake_limit
     ?(on_shed = fun _ -> ()) () =
   (match intake_limit with
   | Some n when n < 1 -> invalid_arg "Graphsched.create: intake_limit < 1"
   | _ -> ());
   let eng =
-    Engine.create ~discipline ~up ~down ~on_handled ?on_consume ?intake_limit
+    Engine.create ~discipline ~up ~down ?on_handled ?on_consume ?intake_limit
       ~on_shed ()
   in
   { eng; names = Hashtbl.create 16; order = [] }
 
 let engine t = t.eng
 
+(* No [find_opt], here or in [add_layer]'s [to_route]: injecting by name
+   and [Deliver_to] allocate no option. *)
 let find t name =
-  match Hashtbl.find_opt t.names name with
-  | Some n -> n
-  | None -> invalid_arg ("Graphsched: unknown layer " ^ name)
+  match Hashtbl.find t.names name with
+  | n -> n
+  | exception Not_found -> invalid_arg ("Graphsched: unknown layer " ^ name)
 
 let add_layer t ?(above = []) layer =
   let name = layer.Layer.name in
@@ -65,10 +67,11 @@ let add_layer t ?(above = []) layer =
       (* Ambiguous fan-out: the handler must name its target. *)
       Engine.Misroute
   in
+  let routes = List.map (fun (p, i) -> (p, Engine.To_node i.idx)) parents in
   let to_route target =
-    match List.assoc_opt target parents with
-    | Some p -> Engine.To_node p.idx
-    | None -> Engine.Misroute
+    match List.assoc target routes with
+    | r -> r
+    | exception Not_found -> Engine.Misroute
   in
   let idx =
     Engine.add_node t.eng ~layer ~use_tx:false ~priority:(-depth) ~entry:true

@@ -12,5 +12,5 @@ let set_enabled b = enabled_ref := b
 
 let check cond what = if !enabled_ref && not cond then raise (Violation what)
 
-let checkf cond what =
-  if !enabled_ref && not (cond ()) then raise (Violation what)
+let checkf cond x what =
+  if !enabled_ref && not (cond x) then raise (Violation what)

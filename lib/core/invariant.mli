@@ -24,6 +24,8 @@ val check : bool -> string -> unit
     call site, so hot paths should guard expensive conditions with
     {!enabled} themselves. *)
 
-val checkf : (unit -> bool) -> string -> unit
-(** Like {!check} but the condition is only evaluated when checking is
-    enabled — for conditions that are themselves O(queue length). *)
+val checkf : ('a -> bool) -> 'a -> string -> unit
+(** [checkf cond x what] is [check (cond x) what], but [cond x] is only
+    evaluated when checking is enabled — for conditions that are
+    themselves O(queue length).  Passing the state as [x] lets a hot path
+    name a toplevel predicate instead of allocating a closure over it. *)

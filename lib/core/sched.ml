@@ -21,7 +21,7 @@ type stats = {
 type 'a t = 'a Engine.t
 
 let create ~discipline ~layers ?(up = fun _ -> ()) ?(down = fun _ -> ())
-    ?(on_handled = fun _ _ _ -> ()) ?on_consume ?intake_limit
+    ?on_handled ?on_consume ?intake_limit
     ?(on_shed = fun _ -> ()) ?metrics () =
   if layers = [] then invalid_arg "Sched.create: empty stack";
   (match intake_limit with
@@ -33,7 +33,7 @@ let create ~discipline ~layers ?(up = fun _ -> ()) ?(down = fun _ -> ())
     invalid_arg "Sched.create: metrics sheet layer count mismatch"
   | _ -> ());
   let eng =
-    Engine.create ~discipline ~up ~down ~on_handled ?on_consume ?intake_limit
+    Engine.create ~discipline ~up ~down ?on_handled ?on_consume ?intake_limit
       ~on_shed ()
   in
   let top = Array.length layers - 1 in

@@ -56,7 +56,9 @@ val create :
   ?metrics:Ldlp_obs.Metrics.t ->
   unit ->
   'a t
-(** [layers] is bottom-first and must be non-empty.  [up] receives messages
+(** [layers] is bottom-first and must be non-empty.  A [Ldlp (Fixed n)]
+    discipline with [n < 1] raises [Invalid_argument] ({!Engine.create}
+    checks it, for every facade).  [up] receives messages
     delivered above the top layer; [down] receives [Send_down] messages;
     [on_handled layer_index layer msg] fires before each handler invocation
     (used by the cycle-accurate model to charge the memory system);

@@ -19,7 +19,7 @@ type stats = {
 type 'a t = { eng : 'a Engine.t; entry : int }
 
 let create ~discipline ~layers ?(wire = fun _ -> ()) ?(up = fun _ -> ())
-    ?(on_handled = fun _ _ _ -> ()) ?on_consume ?intake_limit
+    ?on_handled ?on_consume ?intake_limit
     ?(on_shed = fun _ -> ()) ?metrics () =
   if layers = [] then invalid_arg "Txsched.create: empty stack";
   (match intake_limit with
@@ -31,7 +31,7 @@ let create ~discipline ~layers ?(wire = fun _ -> ()) ?(up = fun _ -> ())
     invalid_arg "Txsched.create: metrics sheet layer count mismatch"
   | _ -> ());
   let eng =
-    Engine.create ~discipline ~up ~down:wire ~on_handled ?on_consume
+    Engine.create ~discipline ~up ~down:wire ?on_handled ?on_consume
       ?intake_limit ~on_shed ()
   in
   let top = Array.length layers - 1 in

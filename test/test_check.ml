@@ -175,7 +175,9 @@ let test_invariant_gate () =
           Ldlp_core.Invariant.check false "boom");
       (* [checkf] only evaluates the condition when enabled. *)
       Ldlp_core.Invariant.set_enabled false;
-      Ldlp_core.Invariant.checkf (fun () -> Alcotest.fail "evaluated") "no")
+      Ldlp_core.Invariant.checkf
+        (fun () -> Alcotest.fail "evaluated")
+        () "no")
 
 let test_invariants_pass_on_sched () =
   with_invariants (fun () ->

@@ -1,9 +1,11 @@
 (* Engine-level tests: the facade-stats projection property (satellite of
    the engine unification — Sched/Txsched/Graphsched stats must be exact
    projections of the underlying Engine stats on random stacks under both
-   disciplines), transmit-side intake shedding, and the full-duplex
+   disciplines), transmit-side intake shedding, the full-duplex
    topology (same-pass ACK drainage, conservation, shedding at both
-   entries). *)
+   entries), the node ring against [Stdlib.Queue], the precomputed
+   schedule against a scan-every-node reference, batch-policy validation
+   and the zero-allocation quantum pins. *)
 
 open Ldlp_core
 
@@ -343,6 +345,488 @@ let test_duplex_metrics_rows () =
     (Ldlp_obs.Metrics.create ~label:"ok"
        ~layer_names:(Engine.duplex_layer_names [ "a"; "b" ]))
 
+(* ---------- batch policies are checked when the engine is built ---------- *)
+
+let test_bad_policy_rejected () =
+  let rejects what k build =
+    check
+      (Printf.sprintf "%s rejects Fixed %d" what k)
+      true
+      (try
+         build (Sched.Ldlp (Batch.Fixed k));
+         false
+       with Invalid_argument _ -> true)
+  in
+  let layers = [ Layer.passthrough "a"; Layer.passthrough "b" ] in
+  List.iter
+    (fun k ->
+      rejects "Engine.create" k (fun discipline ->
+          ignore (Engine.create ~discipline ()));
+      rejects "Sched" k (fun discipline ->
+          ignore (Sched.create ~discipline ~layers ()));
+      rejects "Txsched" k (fun discipline ->
+          ignore (Txsched.create ~discipline ~layers ()));
+      rejects "Graphsched" k (fun discipline ->
+          ignore (Graphsched.create ~discipline ()));
+      rejects "Engine.duplex" k (fun discipline ->
+          ignore (Engine.duplex ~discipline ~layers ())))
+    [ 0; -1 ];
+  let s = Sched.create ~discipline:(Sched.Ldlp (Batch.Fixed 1)) ~layers () in
+  Sched.inject s (Msg.make 0);
+  Sched.run s;
+  checki "Fixed 1 is accepted and runs" 1 (Sched.stats s).Sched.delivered
+
+(* ---------- the node ring, through inject / step / backlog ---------- *)
+
+(* One entry node under [Ldlp (Fixed 1)]: each [step] pops exactly one
+   message, so an inject/step trace drives the node's ring like a queue
+   and the handler sees what it pops. *)
+let ring_engine () =
+  let popped = ref [] in
+  let sink =
+    Layer.v ~name:"sink" (fun m ->
+        popped := m.Msg.payload :: !popped;
+        Layer.consume_only)
+  in
+  let e = Engine.create ~discipline:(Engine.Ldlp (Batch.Fixed 1)) () in
+  ignore
+    (Engine.add_node e ~layer:sink ~use_tx:false ~priority:0 ~entry:true
+       ~up_route:Engine.To_up
+       ~to_route:(fun _ -> Engine.Misroute)
+       ~down_route:Engine.To_down);
+  (e, popped)
+
+let ring_pop e popped =
+  popped := [];
+  if not (Engine.step e) then failwith "step found nothing";
+  match !popped with [ x ] -> x | _ -> failwith "step handled <> 1 message"
+
+let ring_drain e popped =
+  popped := [];
+  Engine.run e;
+  List.rev !popped
+
+(* A trace step: [Push x] or [Pop].  Pops on an empty queue are skipped
+   rather than generated away, so traces drain aggressively and the head
+   index wraps many times within one trace. *)
+type ring_step = Push of int | Pop
+
+let arb_ring_trace =
+  let pp = function Push x -> Printf.sprintf "Push %d" x | Pop -> "Pop" in
+  QCheck.make
+    ~print:(fun t -> String.concat "; " (List.map pp t))
+    QCheck.Gen.(
+      list_size (int_range 0 600)
+        (frequency
+           [ (3, map (fun x -> Push x) (int_bound 10_000)); (2, return Pop) ]))
+
+(* After every step the ring and [Stdlib.Queue] agree on what was popped
+   and on the length; at the end the ring drains in the queue's order. *)
+let prop_ring_differential trace =
+  let e, popped = ring_engine () and m = Queue.create () in
+  List.for_all
+    (fun step ->
+      (match step with
+      | Push x ->
+        Engine.inject e ~node:0 (Msg.make x);
+        Queue.add x m
+      | Pop ->
+        if not (Queue.is_empty m) then
+          if ring_pop e popped <> Queue.pop m then failwith "pop mismatch");
+      Engine.backlog e ~node:0 = Queue.length m
+      && Engine.pending e = Queue.length m)
+    trace
+  && ring_drain e popped = List.of_seq (Queue.to_seq m)
+
+(* Force the doubling path several times over with the head moved off
+   zero first, so growth happens while the ring is wrapped — the
+   copy-out case a naive resize gets wrong. *)
+let prop_ring_growth_wrapped (drain, total) =
+  let e, popped = ring_engine () in
+  for i = 0 to drain - 1 do
+    Engine.inject e ~node:0 (Msg.make i)
+  done;
+  for _ = 1 to drain do
+    ignore (ring_pop e popped)
+  done;
+  for i = 0 to total - 1 do
+    Engine.inject e ~node:0 (Msg.make i)
+  done;
+  Engine.backlog e ~node:0 = total
+  && ring_drain e popped = List.init total Fun.id
+
+let test_ring_exact_capacity () =
+  (* 64 is the ring's first capacity: fill it exactly, drain half, refill
+     — the tail wraps to index 0 without a resize. *)
+  let cap = 64 in
+  let e, popped = ring_engine () in
+  for i = 0 to cap - 1 do
+    Engine.inject e ~node:0 (Msg.make i)
+  done;
+  for i = 0 to (cap / 2) - 1 do
+    checki "first half FIFO" i (ring_pop e popped)
+  done;
+  for i = 0 to (cap / 2) - 1 do
+    Engine.inject e ~node:0 (Msg.make (cap + i))
+  done;
+  checki "length after wrap" cap (Engine.backlog e ~node:0);
+  Alcotest.(check (list int))
+    "second half FIFO"
+    (List.init cap (fun i -> (cap / 2) + i))
+    (ring_drain e popped);
+  checki "empty at end" 0 (Engine.backlog e ~node:0)
+
+let test_ring_drained_idle () =
+  let e, popped = ring_engine () in
+  check "fresh engine is idle" false (Engine.step e);
+  Engine.inject e ~node:0 (Msg.make 7);
+  checki "popped" 7 (ring_pop e popped);
+  check "drained ring is idle" false (Engine.step e);
+  checki "backlog 0" 0 (Engine.backlog e ~node:0);
+  Engine.inject e ~node:0 (Msg.make 8);
+  checki "reused after drain" 8 (ring_pop e popped);
+  check "idle again" false (Engine.step e);
+  check "bad node index raises" true
+    (try
+       ignore (Engine.backlog e ~node:1);
+       false
+     with Invalid_argument _ -> true)
+
+(* The entry quantum's [Dcache_fit] bound reads message sizes in place
+   from the (wrapped) ring; it must agree with [Batch.limit] over the
+   same sizes in queue order. *)
+let prop_dcache_in_place (skip, sizes) =
+  let policy = Batch.Dcache_fit { cache_bytes = 1024; per_msg_overhead = 32 } in
+  let handled = ref 0 in
+  let e = Engine.create ~discipline:(Engine.Ldlp policy) () in
+  ignore
+    (Engine.add_node e
+       ~layer:
+         (Layer.v ~name:"sink" (fun _ ->
+              incr handled;
+              Layer.consume_only))
+       ~use_tx:false ~priority:0 ~entry:true ~up_route:Engine.To_up
+       ~to_route:(fun _ -> Engine.Misroute)
+       ~down_route:Engine.To_down);
+  (* Move the head: [skip] tiny messages, drained a quantum at a time. *)
+  for i = 1 to skip do
+    Engine.inject e ~node:0 (Msg.make i)
+  done;
+  Engine.run e;
+  List.iter (fun size -> Engine.inject e ~node:0 (Msg.make ~size 0)) sizes;
+  handled := 0;
+  ignore (Engine.step e);
+  !handled = Batch.limit policy ~sizes
+
+(* ---------- the precomputed schedule vs a scan-every-node rule ---------- *)
+
+(* Payload: a message's id and how many layers it has crossed; past 5 a
+   message is consumed, so routing cycles terminate.  Handlers are
+   deterministic functions of (node, payload), so the engine and the
+   reference below see the same actions. *)
+type sp = { sid : int; mutable hops : int }
+
+let mix a b = ((a * 0x9E3779B1) lxor (b * 0x85EBCA77)) land 0x3FFF_FFFF
+
+let sched_actions ~named i (m : sp Msg.t) =
+  let p = m.Msg.payload in
+  let next sid =
+    Msg.make ~size:(mix sid 3 mod 700) { sid; hops = p.hops + 1 }
+  in
+  if p.hops >= 5 then [ Layer.Consume ]
+  else
+    let h = mix (mix i p.sid) p.hops in
+    match h mod 7 with
+    | 0 -> [ Layer.Consume ]
+    | 1 | 2 -> [ Layer.Deliver_up (next p.sid) ]
+    | 3 -> [ Layer.Send_down (next p.sid) ]
+    | 4 -> [ Layer.Deliver_to (Printf.sprintf "n%d" named, next p.sid) ]
+    | 5 ->
+      [
+        Layer.Deliver_up (next ((2 * p.sid) + 1));
+        Layer.Send_down (next (2 * p.sid));
+      ]
+    | _ ->
+      (* [Up]/[Down] forward the message itself: count the hop in place. *)
+      p.hops <- p.hops + 1;
+      if h land 8 = 0 then [ Layer.Up ] else [ Layer.Down ]
+
+type node_spec = {
+  prio : int;
+  first_entry : bool;
+  up_to : int;
+  down_to : int;
+  named : int;  (* the node its [Deliver_to] names *)
+}
+
+(* Route codes: [-1] up sink, [-2] down sink, [-3] misroute, [j >= 0]
+   node [j] (possibly one added later, or never). *)
+let target_of r =
+  if r >= 0 then Engine.To_node r
+  else if r = -1 then Engine.To_up
+  else if r = -2 then Engine.To_down
+  else Engine.Misroute
+
+(* [Deliver_to "nK"] goes to node K. *)
+let to_route_of name =
+  Engine.To_node (int_of_string (String.sub name 1 (String.length name - 1)))
+
+type sop = Add | Inject of int * int | Step | Flip of int
+
+type sched_case = {
+  specs : node_spec list;
+  ops : sop list;
+  sdisc : int;  (* 0 Conventional, 1 All, 2 Fixed 3, 3 Dcache_fit *)
+}
+
+let sched_discipline c =
+  match c.sdisc with
+  | 0 -> Engine.Conventional
+  | 1 -> Engine.Ldlp Batch.All
+  | 2 -> Engine.Ldlp (Batch.Fixed 3)
+  | _ ->
+    Engine.Ldlp
+      (Batch.Dcache_fit { cache_bytes = 1500; per_msg_overhead = 32 })
+
+let pp_sched_case c =
+  let r = function
+    | -1 -> "up" | -2 -> "down" | -3 -> "mis" | j -> string_of_int j
+  in
+  Printf.sprintf "disc=%d nodes=[%s] ops=[%s]" c.sdisc
+    (String.concat "; "
+       (List.map
+          (fun s ->
+            Printf.sprintf "p%d%s u%s d%s n%d" s.prio
+              (if s.first_entry then "e" else "")
+              (r s.up_to) (r s.down_to) s.named)
+          c.specs))
+    (String.concat " "
+       (List.map
+          (function
+            | Add -> "A"
+            | Inject (k, id) -> Printf.sprintf "I%d:%d" k id
+            | Step -> "S"
+            | Flip k -> Printf.sprintf "F%d" k)
+          c.ops))
+
+let gen_sched_case =
+  QCheck.Gen.(
+    int_range 2 12 >>= fun n ->
+    bool >>= fun tied ->
+    (if tied then list_repeat n (int_range 0 2)
+     else shuffle_l (List.init n Fun.id))
+    >>= fun prios ->
+    (* One case in four may name nodes that are never added. *)
+    frequency [ (1, return (n + 2)); (3, return n) ] >>= fun reach ->
+    let node = int_range 0 (reach - 1) in
+    let route = frequency [ (5, node); (1, int_range (-3) (-1)) ] in
+    flatten_l
+      (List.map
+         (fun prio ->
+           map4
+             (fun first_entry up_to down_to named ->
+               { prio; first_entry; up_to; down_to; named })
+             (frequency [ (1, return true); (2, return false) ])
+             route route node)
+         prios)
+    >>= fun specs ->
+    (* Up to three nodes are added between steps, later in the trace. *)
+    int_range (Int.max 1 (n - 3)) n >>= fun first ->
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (2, return Add);
+           (5, map2 (fun k sid -> Inject (k, sid)) (int_bound 11)
+                 (int_bound 999));
+           (3, return Step);
+           (1, map (fun k -> Flip k) (int_bound 11));
+         ])
+    >>= fun rest ->
+    int_range 0 3 >>= fun sdisc ->
+    return { specs; ops = List.init first (fun _ -> Add) @ rest; sdisc })
+
+let arb_sched_case = QCheck.make ~print:pp_sched_case gen_sched_case
+
+(* What a run observed: the handled (node, id) sequence and whether a
+   route to a missing node raised (the run stops there). *)
+type observed = { seq : (int * int) list; raised : bool }
+
+let run_engine c =
+  let specs = Array.of_list c.specs in
+  let log = ref [] in
+  let e =
+    Engine.create ~discipline:(sched_discipline c)
+      ~on_handled:(fun i _ m -> log := (i, m.Msg.payload.sid) :: !log)
+      ()
+  in
+  let add () =
+    let i = Engine.node_count e in
+    if i < Array.length specs then begin
+      let s = specs.(i) in
+      ignore
+        (Engine.add_node e
+           ~layer:
+             (Layer.v ~name:(Printf.sprintf "n%d" i)
+                (sched_actions ~named:s.named i))
+           ~use_tx:false ~priority:s.prio ~entry:s.first_entry
+           ~up_route:(target_of s.up_to) ~to_route:to_route_of
+           ~down_route:(target_of s.down_to))
+    end
+  in
+  let apply = function
+    | Add -> add ()
+    | Inject (k, sid) ->
+      let n = Engine.node_count e in
+      Engine.inject e ~node:(k mod n)
+        (Msg.make ~size:(mix sid 5 mod 900) { sid; hops = 0 })
+    | Step -> ignore (Engine.step e)
+    | Flip k ->
+      let k = k mod Engine.node_count e in
+      Engine.set_entry e k (not (Engine.is_entry e k))
+  in
+  let raised =
+    try
+      List.iter apply c.ops;
+      Engine.run e;
+      false
+    with Invalid_argument _ -> true
+  in
+  { seq = List.rev !log; raised }
+
+(* The reference: today's rule written out plainly — every step scans
+   every node for the highest priority, ties to the earliest index;
+   routes are looked up by index each time they are taken. *)
+type ref_node = {
+  r_prio : int;
+  mutable r_entry : bool;
+  r_up : int;
+  r_down : int;
+  r_q : sp Msg.t Queue.t;
+}
+
+let run_reference c =
+  let specs = Array.of_list c.specs in
+  let nodes = ref [||] in
+  let log = ref [] in
+  let count () = Array.length !nodes in
+  let get j =
+    if j < 0 || j >= count () then invalid_arg "reference: no such node";
+    !nodes.(j)
+  in
+  let recurse = c.sdisc = 0 in
+  let rec handle i m =
+    log := (i, m.Msg.payload.sid) :: !log;
+    let n = !nodes.(i) in
+    List.iter
+      (fun a ->
+        match a with
+        | Layer.Consume -> ()
+        | Layer.Up -> route n.r_up m
+        | Layer.Down -> route n.r_down m
+        | Layer.Deliver_up m' -> route n.r_up m'
+        | Layer.Send_down m' -> route n.r_down m'
+        | Layer.Deliver_to (name, m') -> (
+          match to_route_of name with
+          | Engine.To_node j -> route j m'
+          | _ -> assert false))
+      (sched_actions ~named:specs.(i).named i m)
+  and route r m =
+    if r >= 0 then begin
+      let n = get r in
+      if recurse then handle r m else Queue.add m n.r_q
+    end
+  in
+  let ready () =
+    let best = ref (-1) in
+    for i = count () - 1 downto 0 do
+      let n = !nodes.(i) in
+      if
+        (not (Queue.is_empty n.r_q))
+        && (!best < 0 || n.r_prio >= !nodes.(!best).r_prio)
+      then best := i
+    done;
+    !best
+  in
+  let step () =
+    match ready () with
+    | -1 -> false
+    | i ->
+      let n = !nodes.(i) in
+      (match sched_discipline c with
+      | Engine.Conventional -> handle i (Queue.pop n.r_q)
+      | Engine.Ldlp policy ->
+        if n.r_entry then begin
+          let sizes =
+            List.of_seq (Seq.map (fun m -> m.Msg.size) (Queue.to_seq n.r_q))
+          in
+          for _ = 1 to Batch.limit policy ~sizes do
+            handle i (Queue.pop n.r_q)
+          done
+        end
+        else
+          while not (Queue.is_empty n.r_q) do
+            handle i (Queue.pop n.r_q)
+          done);
+      true
+  in
+  let apply = function
+    | Add ->
+      let i = count () in
+      if i < Array.length specs then begin
+        let s = specs.(i) in
+        nodes :=
+          Array.append !nodes
+            [| { r_prio = s.prio; r_entry = s.first_entry; r_up = s.up_to;
+                 r_down = s.down_to; r_q = Queue.create () } |]
+      end
+    | Inject (k, sid) ->
+      Queue.add
+        (Msg.make ~size:(mix sid 5 mod 900) { sid; hops = 0 })
+        !nodes.(k mod count ()).r_q
+    | Step -> ignore (step ())
+    | Flip k ->
+      let n = !nodes.(k mod count ()) in
+      n.r_entry <- not n.r_entry
+  in
+  let raised =
+    try
+      List.iter apply c.ops;
+      while step () do
+        ()
+      done;
+      false
+    with Invalid_argument _ -> true
+  in
+  { seq = List.rev !log; raised }
+
+let prop_schedule_matches_reference c = run_engine c = run_reference c
+
+let test_unadded_route_raises () =
+  List.iter
+    (fun discipline ->
+      let e = Engine.create ~discipline () in
+      ignore
+        (Engine.add_node e ~layer:(Layer.passthrough "a") ~use_tx:false
+           ~priority:0 ~entry:true ~up_route:(Engine.To_node 1)
+           ~to_route:(fun _ -> Engine.Misroute)
+           ~down_route:Engine.To_down);
+      Engine.inject e ~node:0 (Msg.make 0);
+      check "route to a never-added node raises" true
+        (try
+           Engine.run e;
+           false
+         with Invalid_argument _ -> true);
+      (* Adding the node resolves the route for the messages after it. *)
+      ignore
+        (Engine.add_node e ~layer:(Layer.passthrough "b") ~use_tx:false
+           ~priority:1 ~entry:false ~up_route:Engine.To_up
+           ~to_route:(fun _ -> Engine.Misroute)
+           ~down_route:Engine.To_down);
+      Engine.inject e ~node:0 (Msg.make 1);
+      Engine.run e;
+      checki "delivered once node 1 exists" 1 (Engine.stats e).Engine.to_up)
+    [ Engine.Conventional; Engine.Ldlp Batch.paper_default ]
+
 (* ---------- steady-state quantum allocates nothing ---------- *)
 
 (* The whole point of the pooled hot path: once the pool, the ring
@@ -352,8 +836,33 @@ let test_duplex_metrics_rows () =
    probes and allow less than one word per quantum, which only a
    genuinely allocation-free path can meet — the slack absorbs the boxed
    float the probe itself allocates. *)
+let quanta = 64 and batch = 16
+
+(* Warm [quantum] (the pool, the free list and the node rings), then
+   fail unless [quanta] more calls allocate under one word each. *)
+let assert_alloc_free what quantum =
+  for _ = 1 to 4 do
+    quantum ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to quanta do
+    quantum ()
+  done;
+  let delta = Gc.minor_words () -. before in
+  if delta >= float_of_int quanta then
+    Alcotest.failf
+      "%s: steady-state quantum allocates %.0f minor words over %d quanta"
+      what delta quanta
+
+let with_invariants_off f =
+  let was = Invariant.enabled () in
+  Invariant.set_enabled false;
+  Fun.protect ~finally:(fun () -> Invariant.set_enabled was) f
+
+let disciplines =
+  [ Sched.Conventional; Sched.Ldlp Batch.All; Sched.Ldlp Batch.paper_default ]
+
 let test_zero_alloc_quantum () =
-  let quanta = 64 and batch = 16 in
   let run_discipline discipline =
     let layers =
       [
@@ -368,34 +877,92 @@ let test_zero_alloc_quantum () =
         ~on_consume:(fun m -> Msg.release mpool m)
         ()
     in
-    let quantum () =
-      for _ = 1 to batch do
-        Sched.inject sched (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
-      done;
-      Sched.run sched
-    in
-    (* Warm the pool, the free list and the node ring buffers. *)
-    for _ = 1 to 4 do
-      quantum ()
-    done;
-    let before = Gc.minor_words () in
-    for _ = 1 to quanta do
-      quantum ()
-    done;
-    let delta = Gc.minor_words () -. before in
-    if delta >= float_of_int quanta then
-      Alcotest.failf
-        "steady-state quantum allocates: %.0f minor words over %d quanta"
-        delta quanta
+    assert_alloc_free "Sched" (fun () ->
+        for _ = 1 to batch do
+          Sched.inject sched (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
+        done;
+        Sched.run sched)
   in
-  let was = Invariant.enabled () in
-  Invariant.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Invariant.set_enabled was)
-    (fun () ->
-      run_discipline Sched.Conventional;
-      run_discipline (Sched.Ldlp Batch.All);
-      run_discipline (Sched.Ldlp Batch.paper_default))
+  with_invariants_off (fun () -> List.iter run_discipline disciplines)
+
+(* [Send_down m] and [Deliver_to (name, m)] carry their message, so a
+   handler answering them allocates its action list per call.  Pooled
+   records are recycled, so these test layers keep one prebuilt list per
+   record (found by physical identity): what is measured is the engine's
+   own allocation, not the handler's. *)
+let memo_actions make =
+  let cache = ref [] in
+  fun m ->
+    match List.assq m !cache with
+    | actions -> actions
+    | exception Not_found ->
+      let actions = make m in
+      cache := (m, actions) :: !cache;
+      actions
+
+(* A duplex stack whose top receive layer answers [Send_down]: the
+   message crosses into the transmit side as the reply, descends through
+   both transmit nodes and is released at the wire. *)
+let test_zero_alloc_duplex () =
+  let run_discipline discipline =
+    let mpool = Msg.pool () in
+    let ack = memo_actions (fun m -> [ Layer.Send_down m ]) in
+    let eng =
+      Engine.duplex ~discipline
+        ~layers:[ Layer.passthrough "ip"; Layer.v ~name:"tcp" ack ]
+        ~wire:(fun m -> Msg.release mpool m)
+        ()
+    in
+    let rx = Engine.duplex_rx_entry eng in
+    assert_alloc_free "duplex" (fun () ->
+        for _ = 1 to batch do
+          Engine.inject eng ~node:rx (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
+        done;
+        Engine.run eng);
+    checki "every reply reached the wire" ((4 + quanta) * batch)
+      (Engine.stats eng).Engine.to_down
+  in
+  with_invariants_off (fun () -> List.iter run_discipline disciplines)
+
+(* A demultiplexing graph: "ip" has two layers above it, so it must name
+   its target with [Deliver_to]. *)
+let test_zero_alloc_demux () =
+  let run_discipline discipline =
+    let mpool = Msg.pool () in
+    let g =
+      Graphsched.create ~discipline
+        ~on_consume:(fun m -> Msg.release mpool m)
+        ()
+    in
+    let sink name = Layer.v ~name (fun _ -> Layer.consume_only) in
+    Graphsched.add_layer g (sink "tcp");
+    Graphsched.add_layer g (sink "udp");
+    let to_tcp = memo_actions (fun m -> [ Layer.Deliver_to ("tcp", m) ])
+    and to_udp = memo_actions (fun m -> [ Layer.Deliver_to ("udp", m) ]) in
+    Graphsched.add_layer g ~above:[ "tcp"; "udp" ]
+      (Layer.v ~name:"ip" (fun m ->
+           if m.Msg.flow land 1 = 0 then to_tcp m else to_udp m));
+    let k = ref 0 in
+    assert_alloc_free "Graphsched demux" (fun () ->
+        for _ = 1 to batch do
+          (* The flow is set in place: [~flow] would box a [Some]. *)
+          let m = Msg.acquire mpool ~arrival:0.0 ~size:64 0 in
+          incr k;
+          m.Msg.flow <- !k;
+          Graphsched.inject g ~into:"ip" m
+        done;
+        Graphsched.run g);
+    let st = Graphsched.stats g in
+    checki "every message demultiplexed" ((4 + quanta) * batch)
+      st.Graphsched.consumed;
+    checki "none misrouted" 0 st.Graphsched.misrouted;
+    Alcotest.(check (list (pair string int)))
+      "both branches taken"
+      [ ("tcp", (4 + quanta) * batch / 2); ("udp", (4 + quanta) * batch / 2);
+        ("ip", (4 + quanta) * batch) ]
+      st.Graphsched.per_layer
+  in
+  with_invariants_off (fun () -> List.iter run_discipline disciplines)
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -422,4 +989,33 @@ let suite =
       test_duplex_metrics_rows;
     Alcotest.test_case "zero-alloc steady-state quantum" `Quick
       test_zero_alloc_quantum;
+    Alcotest.test_case "zero-alloc duplex Send_down" `Quick
+      test_zero_alloc_duplex;
+    Alcotest.test_case "zero-alloc Graphsched Deliver_to" `Quick
+      test_zero_alloc_demux;
+    Alcotest.test_case "bad batch policy rejected" `Quick
+      test_bad_policy_rejected;
+    qcheck
+      (QCheck.Test.make ~name:"node ring = Stdlib.Queue on traces"
+         ~count:300 arb_ring_trace prop_ring_differential);
+    qcheck
+      (QCheck.Test.make ~name:"node ring grows in order wrapped" ~count:100
+         QCheck.(pair (int_range 1 60) (int_range 200 900))
+         prop_ring_growth_wrapped);
+    Alcotest.test_case "node ring wraps at exact capacity" `Quick
+      test_ring_exact_capacity;
+    Alcotest.test_case "drained node ring steps idle" `Quick
+      test_ring_drained_idle;
+    qcheck
+      (QCheck.Test.make ~name:"Dcache_fit bound reads ring in place"
+         ~count:200
+         QCheck.(
+           pair (int_range 0 100)
+             (list_of_size Gen.(int_range 1 80) (int_range 0 1500)))
+         prop_dcache_in_place);
+    qcheck
+      (QCheck.Test.make ~name:"schedule = scan-every-node reference"
+         ~count:500 arb_sched_case prop_schedule_matches_reference);
+    Alcotest.test_case "route to unadded node raises" `Quick
+      test_unadded_route_raises;
   ]

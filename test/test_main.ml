@@ -9,7 +9,6 @@ let () =
       ("traffic", Test_traffic.suite);
       ("trace", Test_trace.suite);
       ("core", Test_core.suite);
-      ("rqueue", Test_rqueue.suite);
       ("msgpool", Test_msgpool.suite);
       ("engine", Test_engine.suite);
       ("graphsched", Test_graphsched.suite);
