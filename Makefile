@@ -4,7 +4,7 @@
 
 DOMAINS ?= 2
 
-.PHONY: all build test fmt promote hotpath-lint selftest oracle engine-parity soak soak-duplex mesh shards recovery flows bench-sweeps bench-hotpath bench-alloc bench-soak bench-mesh bench-shards bench-recovery bench-flows check
+.PHONY: all build test fmt promote hotpath-lint selftest oracle soak soak-duplex mesh shards recovery flows bench-sweeps bench-hotpath bench-alloc bench-soak bench-mesh bench-shards bench-recovery bench-flows check
 
 all: build
 
@@ -53,15 +53,14 @@ hotpath-lint:
 selftest: build
 	dune exec bin/ldlp_repro.exe -- selftest --domains $(DOMAINS)
 
-# Differential oracles + LDLP_CHECK invariant sweep on the real model.
+# Differential oracles (cache, and the scheduler's receive chain,
+# transmit chain and full-duplex engine per random workload) + the
+# LDLP_CHECK invariant sweep on the real model, run twice: plain, then
+# with the runtime invariant gate forced on, so every Engine.run also
+# checks its flow-balance, batch-accounting and receive-chain
+# conservation invariants.
 oracle: build
 	dune exec bin/ldlp_repro.exe -- check
-
-# Facade/engine parity: the extended equivalence oracles (receive chain,
-# transmit chain and full-duplex engine per random workload) with the
-# runtime invariant gate forced on, so every Engine.run also checks the
-# flow-balance and batch-accounting invariants.
-engine-parity: build
 	LDLP_CHECK=1 dune exec bin/ldlp_repro.exe -- check
 
 # Chaos soak: seeded fault-injection scenarios (loss, duplication,
@@ -153,5 +152,5 @@ bench-recovery: build
 bench-flows: build
 	dune exec bench/main.exe -- --flows
 
-check: build fmt test selftest oracle engine-parity bench-alloc soak soak-duplex mesh shards recovery flows
+check: build fmt test selftest oracle bench-alloc soak soak-duplex mesh shards recovery flows
 	@echo "check OK"

@@ -24,7 +24,7 @@ let pp_spec ppf s =
 type trace = {
   visits : int list array;
   delivered_order : int list;
-  stats : Sched.stats;
+  stats : Engine.stats;
 }
 
 (* Payload: the message's injection index.  Behaviours depend only on it,
@@ -53,10 +53,9 @@ let run_spec discipline spec =
   let visits = Array.make (max n 1) [] in
   let delivered = ref [] in
   let layers = List.mapi layer_of_behaviour spec.layers in
-  let sched =
-    Sched.create ~discipline ~layers
+  let eng =
+    Engine.rx_chain ~discipline ~layers
       ~up:(fun m -> delivered := m.Msg.payload :: !delivered)
-      ~down:(fun _ -> ())
       ~on_handled:(fun i _ m ->
         let idx = m.Msg.payload in
         if idx >= 0 then visits.(idx) <- i :: visits.(idx))
@@ -65,24 +64,24 @@ let run_spec discipline spec =
   let chunk = if spec.interleave <= 0 then max n 1 else spec.interleave in
   List.iteri
     (fun idx (flow, size) ->
-      Sched.inject sched (Msg.make ~flow ~size idx);
-      if (idx + 1) mod chunk = 0 then ignore (Sched.step sched))
+      Engine.inject eng ~node:0 (Msg.make ~flow ~size idx);
+      if (idx + 1) mod chunk = 0 then ignore (Engine.step eng))
     spec.msgs;
-  Sched.run sched;
+  Engine.run eng;
   Array.iteri (fun i l -> visits.(i) <- List.rev l) visits;
   {
     visits;
     delivered_order = List.rev !delivered;
-    stats = Sched.stats sched;
+    stats = Engine.stats eng;
   }
 
-let conserved (st : Sched.stats) ~pending =
+let conserved (st : Engine.stats) ~pending =
   pending = 0
-  && st.Sched.injected
-     = st.Sched.delivered + st.Sched.consumed + st.Sched.misrouted
-  && st.Sched.total_batched = st.Sched.injected
-  && (st.Sched.batches = 0 || st.Sched.max_batch >= 1)
-  && st.Sched.max_batch <= st.Sched.total_batched
+  && st.Engine.injected
+     = st.Engine.to_up + st.Engine.consumed + st.Engine.misrouted
+  && st.Engine.total_batched = st.Engine.injected
+  && (st.Engine.batches = 0 || st.Engine.max_batch >= 1)
+  && st.Engine.max_batch <= st.Engine.total_batched
 
 let multiset l = List.sort compare l
 
@@ -94,8 +93,8 @@ let flow_order spec (t : trace) flow =
     t.delivered_order
 
 let equivalent spec =
-  let conv = run_spec Sched.Conventional spec in
-  let ldlp = run_spec (Sched.Ldlp spec.policy) spec in
+  let conv = run_spec Engine.Conventional spec in
+  let ldlp = run_spec (Engine.Ldlp spec.policy) spec in
   let n = List.length spec.msgs in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec check_visits i =
@@ -109,10 +108,10 @@ let equivalent spec =
   let same field a b = if a = b then Ok () else err "%s: conv=%d ldlp=%d" field a b in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let* () = check_visits 0 in
-  let* () = same "delivered" conv.stats.Sched.delivered ldlp.stats.Sched.delivered in
-  let* () = same "consumed" conv.stats.Sched.consumed ldlp.stats.Sched.consumed in
-  let* () = same "sent_down" conv.stats.Sched.sent_down ldlp.stats.Sched.sent_down in
-  let* () = same "misrouted" conv.stats.Sched.misrouted ldlp.stats.Sched.misrouted in
+  let* () = same "delivered" conv.stats.Engine.to_up ldlp.stats.Engine.to_up in
+  let* () = same "consumed" conv.stats.Engine.consumed ldlp.stats.Engine.consumed in
+  let* () = same "sent_down" conv.stats.Engine.to_down ldlp.stats.Engine.to_down in
+  let* () = same "misrouted" conv.stats.Engine.misrouted ldlp.stats.Engine.misrouted in
   let* () =
     if not (conserved conv.stats ~pending:0) then
       err "conventional run violates conservation"
@@ -137,7 +136,7 @@ let equivalent spec =
 (* The same declarative behaviours, installed as [handle_tx]: [Pass]
    forwards toward the wire, [Consume_every] absorbs, [Reply_every] loops
    a notification up (a send-completion event) before forwarding the
-   original.  The receive handler is never invoked by [Txsched]. *)
+   original.  The receive handler is never invoked by a transmit chain. *)
 let layer_of_behaviour_tx i behaviour =
   let divides k n = k > 0 && n mod k = 0 in
   Layer.v ~name:(Format.asprintf "L%d-%a" i pp_behaviour behaviour)
@@ -159,7 +158,7 @@ let layer_of_behaviour_tx i behaviour =
 type trace_tx = {
   tx_visits : int list array;
   wire_order : int list;
-  tx_stats : Txsched.stats;
+  tx_stats : Engine.stats;
 }
 
 let run_spec_tx discipline spec =
@@ -168,10 +167,10 @@ let run_spec_tx discipline spec =
   let visits = Array.make (max n 1) [] in
   let wire = ref [] in
   let layers = List.mapi layer_of_behaviour_tx spec.layers in
-  let tx =
-    Txsched.create ~discipline ~layers
+  let top = List.length layers - 1 in
+  let eng =
+    Engine.tx_chain ~discipline ~layers
       ~wire:(fun m -> wire := m.Msg.payload :: !wire)
-      ~up:(fun _ -> ())
       ~on_handled:(fun i _ m ->
         let idx = m.Msg.payload in
         if idx >= 0 then visits.(idx) <- i :: visits.(idx))
@@ -180,31 +179,31 @@ let run_spec_tx discipline spec =
   let chunk = if spec.interleave <= 0 then max n 1 else spec.interleave in
   List.iteri
     (fun idx (flow, size) ->
-      Txsched.submit tx (Msg.make ~flow ~size idx);
-      if (idx + 1) mod chunk = 0 then ignore (Txsched.step tx))
+      Engine.inject eng ~node:top (Msg.make ~flow ~size idx);
+      if (idx + 1) mod chunk = 0 then ignore (Engine.step eng))
     spec.msgs;
-  Txsched.run tx;
+  Engine.run eng;
   Array.iteri (fun i l -> visits.(i) <- List.rev l) visits;
   {
     tx_visits = visits;
     wire_order = List.rev !wire;
-    tx_stats = Txsched.stats tx;
+    tx_stats = Engine.stats eng;
   }
 
 (* Transmit conservation: every submission terminates at the wire or is
    consumed ([Deliver_up] notifications are fresh messages, not
    submissions), and — the entry queue being the only injection point —
    batches cover every submission under both disciplines. *)
-let conserved_tx (st : Txsched.stats) ~pending =
+let conserved_tx (st : Engine.stats) ~pending =
   pending = 0
-  && st.Txsched.submitted = st.Txsched.transmitted + st.Txsched.consumed
-  && st.Txsched.total_batched = st.Txsched.submitted
-  && (st.Txsched.batches = 0 || st.Txsched.max_batch >= 1)
-  && st.Txsched.max_batch <= st.Txsched.total_batched
+  && st.Engine.injected = st.Engine.to_down + st.Engine.consumed
+  && st.Engine.total_batched = st.Engine.injected
+  && (st.Engine.batches = 0 || st.Engine.max_batch >= 1)
+  && st.Engine.max_batch <= st.Engine.total_batched
 
 let equivalent_tx spec =
-  let conv = run_spec_tx Sched.Conventional spec in
-  let ldlp = run_spec_tx (Sched.Ldlp spec.policy) spec in
+  let conv = run_spec_tx Engine.Conventional spec in
+  let ldlp = run_spec_tx (Engine.Ldlp spec.policy) spec in
   let n = List.length spec.msgs in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec check_visits i =
@@ -221,15 +220,14 @@ let equivalent_tx spec =
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let* () = check_visits 0 in
   let* () =
-    same "transmitted" conv.tx_stats.Txsched.transmitted
-      ldlp.tx_stats.Txsched.transmitted
+    same "transmitted" conv.tx_stats.Engine.to_down
+      ldlp.tx_stats.Engine.to_down
   in
   let* () =
-    same "consumed" conv.tx_stats.Txsched.consumed ldlp.tx_stats.Txsched.consumed
+    same "consumed" conv.tx_stats.Engine.consumed ldlp.tx_stats.Engine.consumed
   in
   let* () =
-    same "looped_up" conv.tx_stats.Txsched.looped_up
-      ldlp.tx_stats.Txsched.looped_up
+    same "looped_up" conv.tx_stats.Engine.to_up ldlp.tx_stats.Engine.to_up
   in
   let* () =
     if not (conserved_tx conv.tx_stats ~pending:0) then
@@ -303,8 +301,8 @@ let run_spec_duplex discipline spec =
   }
 
 let equivalent_duplex spec =
-  let conv = run_spec_duplex Sched.Conventional spec in
-  let ldlp = run_spec_duplex (Sched.Ldlp spec.policy) spec in
+  let conv = run_spec_duplex Engine.Conventional spec in
+  let ldlp = run_spec_duplex (Engine.Ldlp spec.policy) spec in
   let n = List.length spec.msgs in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec check_visits i =

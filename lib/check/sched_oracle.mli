@@ -44,13 +44,14 @@ val pp_spec : Format.formatter -> spec -> unit
 type trace = {
   visits : int list array;  (** [visits.(i)]: layers visited by msg [i]. *)
   delivered_order : int list;  (** Injection indices, upward-sink order. *)
-  stats : Ldlp_core.Sched.stats;
+  stats : Ldlp_core.Engine.stats;
 }
 
-val run_spec : Ldlp_core.Sched.discipline -> spec -> trace
+val run_spec : Ldlp_core.Engine.discipline -> spec -> trace
 
-val conserved : Ldlp_core.Sched.stats -> pending:int -> bool
-(** The conservation invariants above, checkable on any idle scheduler. *)
+val conserved : Ldlp_core.Engine.stats -> pending:int -> bool
+(** The conservation invariants above, checkable on any idle receive
+    chain ([delivered] is [to_up]). *)
 
 val equivalent : spec -> (unit, string) result
 (** Run the spec under [Conventional] and [Ldlp spec.policy] and compare;
@@ -58,21 +59,21 @@ val equivalent : spec -> (unit, string) result
 
 (** {1 Transmit-side oracle}
 
-    The same behaviours installed as [handle_tx] drive a {!Ldlp_core.Txsched}
-    chain: [Pass] forwards toward the wire, [Consume_every] absorbs,
-    [Reply_every] loops a completion notification upward before
-    forwarding. *)
+    The same behaviours installed as [handle_tx] drive a
+    {!Ldlp_core.Engine.tx_chain}: [Pass] forwards toward the wire,
+    [Consume_every] absorbs, [Reply_every] loops a completion
+    notification upward before forwarding. *)
 
 type trace_tx = {
   tx_visits : int list array;
   wire_order : int list;  (** Injection indices, wire-sink order. *)
-  tx_stats : Ldlp_core.Txsched.stats;
+  tx_stats : Ldlp_core.Engine.stats;
 }
 
-val run_spec_tx : Ldlp_core.Sched.discipline -> spec -> trace_tx
+val run_spec_tx : Ldlp_core.Engine.discipline -> spec -> trace_tx
 
-val conserved_tx : Ldlp_core.Txsched.stats -> pending:int -> bool
-(** [submitted = transmitted + consumed] (loopback notifications are fresh
+val conserved_tx : Ldlp_core.Engine.stats -> pending:int -> bool
+(** [injected = to_down + consumed] (loopback notifications are fresh
     messages, not submissions) and batches cover every submission. *)
 
 val equivalent_tx : spec -> (unit, string) result
@@ -91,7 +92,7 @@ type trace_duplex = {
   dx_stats : Ldlp_core.Engine.stats;
 }
 
-val run_spec_duplex : Ldlp_core.Sched.discipline -> spec -> trace_duplex
+val run_spec_duplex : Ldlp_core.Engine.discipline -> spec -> trace_duplex
 (** The spec's receive behaviours over an {!Ldlp_core.Engine.duplex}:
     replies cross into the same layer's transmit node and descend the
     passthrough transmit side to the wire. *)

@@ -11,7 +11,7 @@ type 'a node = {
   handler : 'a Msg.t -> 'a Layer.action list;
       (* [layer.handle] or [layer.handle_tx], chosen once at [add_node]. *)
   priority : int;
-  mutable entry : bool;
+  entry : bool;
   up_route : target;
   to_route : string -> target;
   down_route : target;
@@ -45,6 +45,10 @@ type stats = {
   per_node_runs : (string * int) list;
 }
 
+(* What built the engine: {!run} adds the receive chain's conservation
+   checks, and the duplex helpers find the transmit side. *)
+type shape = Graph | Rx_chain | Tx_chain | Duplex of int  (* first tx node *)
+
 type 'a t = {
   discipline : discipline;
   mutable nodes : 'a node array;
@@ -73,7 +77,7 @@ type 'a t = {
   mutable last_ran : int;  (* node of the previous handler call, or -1 *)
   mutable dequeued : int;  (* queue pops + recursive forwards, for run () *)
   mutable enqueued : int;  (* queue pushes (injections included) *)
-  mutable duplex_split : int;  (* first tx node of a duplex engine, or -1 *)
+  mutable shape : shape;
 }
 
 let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ()) ?on_handled
@@ -111,7 +115,7 @@ let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ()) ?on_handled
     last_ran = -1;
     dequeued = 0;
     enqueued = 0;
-    duplex_split = -1;
+    shape = Graph;
   }
 
 let node_count t = t.nnodes
@@ -153,10 +157,6 @@ let add_node t ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route =
   t.nnodes <- i + 1;
   t.resolved <- false;
   i
-
-let set_entry t i e = (node t i).entry <- e
-
-let is_entry t i = (node t i).entry
 
 let dest_of t = function
   | To_node j ->
@@ -404,19 +404,36 @@ let batches_sane t = t.batches = 0 || t.max_batch >= 1
 
 let batched_le_dequeued t = t.total_batched <= t.dequeued
 
+(* A receive chain's only injection point is node 0 and its only
+   terminal routes are the two sinks, so at idle every injection was
+   batched exactly once and ended at the top, in a layer or misrouted
+   ([Send_down] replies are fresh messages; every stack in this repo
+   answers each message with one terminal action).  Other shapes pass. *)
+let rx_batched_once t =
+  match t.shape with
+  | Rx_chain -> t.total_batched = t.injected
+  | Graph | Tx_chain | Duplex _ -> true
+
+let rx_conserved t =
+  match t.shape with
+  | Rx_chain -> t.injected = t.to_up + t.consumed + t.misrouted
+  | Graph | Tx_chain | Duplex _ -> true
+
 let run t =
   while step t do
     ()
   done;
-  (* Engine-level idle invariants; the facades layer their shape-specific
-     conservation equations (which need to know which routes are
-     terminal) on top of these. *)
   Invariant.checkf drained t "Engine.run: idle with pending messages";
   Invariant.checkf balanced t
     "Engine.run: enqueued messages not all handled at idle";
   Invariant.checkf batches_sane t "Engine.run: recorded a batch smaller than 1";
   Invariant.checkf batched_le_dequeued t
-    "Engine.run: more batched dequeues than dequeues"
+    "Engine.run: more batched dequeues than dequeues";
+  Invariant.checkf rx_batched_once t
+    "Engine.run: receive-chain batches do not cover all injected messages";
+  Invariant.checkf rx_conserved t
+    "Engine.run: receive chain idle with injected <> to_up + consumed \
+     + misrouted"
 
 let stats t =
   let names f =
@@ -436,20 +453,18 @@ let stats t =
     per_node_runs = names (fun n -> n.runs);
   }
 
-(* ---------- full-duplex construction ---------- *)
+(* ---------- chains and full duplex ---------- *)
 
-let duplex ~discipline ~layers ?up ?(wire = fun _ -> ()) ?on_handled ?on_consume
-    ?intake_limit ?on_shed ?metrics () =
-  if layers = [] then invalid_arg "Engine.duplex: empty stack";
-  let t =
-    create ~discipline ?up ~down:wire ?on_handled ?on_consume ?intake_limit
-      ?on_shed ()
-  in
-  let layers = Array.of_list layers in
-  let n = Array.length layers in
-  let top = n - 1 in
-  (* Receive nodes 0..n-1, bottom-first; [Send_down] crosses into the
-     same layer's transmit node (added below as n+i). *)
+let stack what layers =
+  if layers = [] then invalid_arg (what ^ ": empty stack");
+  Array.of_list layers
+
+(* Receive nodes [0 .. n-1] over the bottom-first [layers]: node [i] runs
+   layer [i]'s [handle], priorities ascend (the layer furthest from the
+   bottom entry wins), and a named delivery is valid only when it names
+   the next layer up.  Layer [i]'s [Send_down] goes to [down_route i]. *)
+let add_rx_nodes t layers ~down_route =
+  let top = Array.length layers - 1 in
   Array.iteri
     (fun i layer ->
       ignore
@@ -458,43 +473,83 @@ let duplex ~discipline ~layers ?up ?(wire = fun _ -> ()) ?on_handled ?on_consume
            ~to_route:(fun name ->
              if i < top && layers.(i + 1).Layer.name = name then To_node (i + 1)
              else Misroute)
-           ~down_route:(To_node (n + i))))
-    layers;
-  (* Transmit nodes n..2n-1: node n+i runs layer i's [handle_tx]; the
-     whole transmit side outranks the whole receive side, descending
-     toward the wire. *)
+           ~down_route:(down_route i)))
+    layers
+
+(* Transmit nodes [base .. base+n-1]: node [base + i] runs layer [i]'s
+   [handle_tx], priorities descend toward the wire from the top, which
+   takes submissions.  [Deliver_up] and [Deliver_to] go to the up sink. *)
+let add_tx_nodes t layers ~base ~rename =
+  let n = Array.length layers in
   Array.iteri
     (fun i layer ->
-      (* Rename the transmit registration so [per_node] rows and metric
-         sheets distinguish the two directions of one layer. *)
-      let layer = { layer with Layer.name = layer.Layer.name ^ "/tx" } in
       ignore
-        (add_node t ~layer ~use_tx:true
-           ~priority:(n + (n - 1 - i))
-           ~entry:(i = top)
-           ~up_route:To_up
+        (add_node t ~layer:(rename layer) ~use_tx:true
+           ~priority:(base + (n - 1 - i))
+           ~entry:(i = n - 1) ~up_route:To_up
            ~to_route:(fun _ -> To_up)
-           ~down_route:(if i = 0 then To_down else To_node (n + i - 1))))
-    layers;
-  t.duplex_split <- n;
+           ~down_route:(if i = 0 then To_down else To_node (base + i - 1))))
+    layers
+
+let finish t shape metrics =
+  t.shape <- shape;
   (match metrics with None -> () | Some m -> attach_metrics t m);
   t
 
+let rx_chain ~discipline ~layers ?up ?down ?on_handled ?on_consume
+    ?intake_limit ?on_shed ?metrics () =
+  let layers = stack "Engine.rx_chain" layers in
+  let t =
+    create ~discipline ?up ?down ?on_handled ?on_consume ?intake_limit ?on_shed
+      ()
+  in
+  add_rx_nodes t layers ~down_route:(fun _ -> To_down);
+  finish t Rx_chain metrics
+
+let tx_chain ~discipline ~layers ?wire ?up ?on_handled ?on_consume
+    ?intake_limit ?on_shed ?metrics () =
+  let layers = stack "Engine.tx_chain" layers in
+  let t =
+    create ~discipline ?up ?down:wire ?on_handled ?on_consume ?intake_limit
+      ?on_shed ()
+  in
+  add_tx_nodes t layers ~base:0 ~rename:Fun.id;
+  finish t Tx_chain metrics
+
+let duplex ~discipline ~layers ?up ?wire ?on_handled ?on_consume
+    ?intake_limit ?on_shed ?metrics () =
+  let layers = stack "Engine.duplex" layers in
+  let t =
+    create ~discipline ?up ?down:wire ?on_handled ?on_consume ?intake_limit
+      ?on_shed ()
+  in
+  let n = Array.length layers in
+  (* [Send_down] from receive node [i] crosses into the same layer's
+     transmit node [n + i]; the transmit side's rows carry a "/tx" suffix
+     so [per_node] and metric sheets tell the two directions apart. *)
+  add_rx_nodes t layers ~down_route:(fun i -> To_node (n + i));
+  add_tx_nodes t layers ~base:n ~rename:(fun layer ->
+      { layer with Layer.name = layer.Layer.name ^ "/tx" });
+  finish t (Duplex n) metrics
+
 let duplex_rx_entry t =
-  if t.duplex_split < 0 then invalid_arg "Engine.duplex_rx_entry: not duplex";
-  0
+  match t.shape with
+  | Duplex _ -> 0
+  | Graph | Rx_chain | Tx_chain ->
+    invalid_arg "Engine.duplex_rx_entry: not duplex"
 
 let duplex_tx_entry t =
-  if t.duplex_split < 0 then invalid_arg "Engine.duplex_tx_entry: not duplex";
-  t.nnodes - 1
+  match t.shape with
+  | Duplex _ -> t.nnodes - 1
+  | Graph | Rx_chain | Tx_chain ->
+    invalid_arg "Engine.duplex_tx_entry: not duplex"
 
 let duplex_layer_names names = names @ List.map (fun n -> n ^ "/tx") names
 
+let rec runs_from t i acc =
+  if i >= t.nnodes then acc else runs_from t (i + 1) (acc + t.nodes.(i).runs)
+
 let tx_runs t =
-  if t.duplex_split < 0 then 0
-  else begin
-    let rec go i acc =
-      if i >= t.nnodes then acc else go (i + 1) (acc + t.nodes.(i).runs)
-    in
-    go t.duplex_split 0
-  end
+  match t.shape with
+  | Duplex split -> runs_from t split 0
+  | Graph | Rx_chain | Tx_chain -> 0

@@ -1,34 +1,39 @@
-(** The one LDLP engine: blocked layer scheduling over a directed layer
-    graph, parameterised by traversal direction and topology.
+(** The one LDLP engine: layer scheduling over a directed layer graph.
 
-    The paper's discipline (Section 3) is a single idea — {e run the
-    layer furthest along over everything it has queued} — yet it applies
-    in several shapes: up a linear receive chain ({!Sched}), down a
-    linear transmit chain ({!Txsched}), across a demultiplexing protocol
-    graph ({!Graphsched}), and — new here — over both directions of one
-    stack at once ({!duplex}).  This module owns the canonical
-    implementation all of those share: per-node queues, the
-    {!Batch}-policy entry quantum, the priority rule, intake-limit
-    shedding, [on_handled] hooks, unified {!stats} and
-    {!Ldlp_obs.Metrics} recording.  The direction-specific modules are
-    thin facades that describe a topology and project the stats.
+    This is the paper's contribution (Section 3).  Both disciplines run
+    the {e same} layer implementations; only the order in which (layer,
+    message) pairs are visited changes:
+
+    - {b Conventional}: one message at a time through every layer — the
+      outer loop of Figure 2's left column.  Pop one message from the
+      highest-priority non-empty queue and recurse it through the graph
+      depth-first.  With a protocol working set larger than the I-cache,
+      every layer's code is refetched for every message.
+    - {b LDLP}: one queue per layer.  A quantum runs the highest-priority
+      non-empty node to completion over {e all} its queued messages, so
+      a layer's code is fetched once per batch.  Entry nodes instead
+      yield after a batch bounded by the {!Batch} policy (what fits in
+      the D-cache), keeping latency bounded and message data resident
+      while it climbs the stack.
+
+    Under light load LDLP degenerates to per-message processing (batch
+    size 1) and behaves exactly like the conventional discipline; under
+    heavy load batches grow and I-cache misses amortise — which is the
+    whole effect measured in Figures 5–7.
+
+    The rule applies in several shapes, all built here: up a linear
+    receive chain ({!rx_chain}), down a linear transmit chain
+    ({!tx_chain}), over both directions of one stack at once
+    ({!duplex}), or across any graph of nodes the caller adds itself
+    ({!create}, {!add_node}) — a demultiplexing stack, say, where IP fans
+    out to TCP and UDP (Section 3.2).
 
     A node is a layer plus a {e role}: which handler runs ([handle] for
     receive traversal, [handle_tx] for transmit), where each
     {!Layer.action} routes ({!target}), a scheduling priority, and
-    whether the node is an {e entry point}.  Scheduling follows the
-    locality rule uniformly:
-
-    - {b Conventional}: pop one message from the highest-priority
-      non-empty queue and recurse it through the graph depth-first —
-      per-message processing, every layer's code refetched per message.
-    - {b LDLP}: a quantum runs the highest-priority non-empty node to
-      completion over its whole queue; entry nodes instead yield after a
-      D-cache-bounded batch ({!Batch.limit}), keeping latency bounded.
-
-    Priorities encode "furthest from the entry points wins": facades
-    assign ascending values along each traversal so a message near its
-    exit always pre-empts newly arrived work.  Ties break toward the
+    whether the node is an {e entry point}.  Priorities encode "furthest
+    from the entry points wins", so a message near its exit always
+    pre-empts newly arrived work.  Ties break toward the
     earliest-registered node, which keeps graph scheduling
     deterministic.
 
@@ -114,13 +119,6 @@ val add_node :
     raises [Invalid_argument].  Routes are resolved to nodes at the next
     {!step}, so adding nodes between steps is allowed. *)
 
-val set_entry : 'a t -> int -> bool -> unit
-(** Change a node's entry-point status (used by {!Graphsched} while the
-    graph is built: a node stops being an entry when a layer below it
-    appears). *)
-
-val is_entry : 'a t -> int -> bool
-
 val node_count : 'a t -> int
 
 val node_name : 'a t -> int -> string
@@ -150,11 +148,64 @@ val step : 'a t -> bool
 (** One scheduling quantum; [false] when every queue is empty. *)
 
 val run : 'a t -> unit
-(** {!step} until idle, then check the engine-level idle invariants
-    (under [LDLP_CHECK]): no pending messages, every enqueued message
-    handled exactly once, batch accounting sane. *)
+(** {!step} until idle, then check the idle invariants (under
+    [LDLP_CHECK]): no pending messages, every enqueued message handled
+    exactly once, batch accounting sane.  On a {!rx_chain} also: every
+    injection was batched exactly once, and [injected = to_up + consumed
+    + misrouted] (each message ends in one terminal action; [Send_down]
+    replies are fresh messages). *)
 
 val stats : 'a t -> stats
+
+(** {1 Linear chains}
+
+    Both chains take [layers] bottom-first and non-empty, so one stack
+    description serves either direction.  [metrics], when given, must
+    have one row per layer, in the same order; while the
+    {!Ldlp_obs.Obs} gate is on the engine records into it, with the gate
+    off the sheet is never touched ({!attach_metrics}). *)
+
+val rx_chain :
+  discipline:discipline ->
+  layers:'a Layer.t list ->
+  ?up:('a Msg.t -> unit) ->
+  ?down:('a Msg.t -> unit) ->
+  ?on_handled:(int -> 'a Layer.t -> 'a Msg.t -> unit) ->
+  ?on_consume:('a Msg.t -> unit) ->
+  ?intake_limit:int ->
+  ?on_shed:('a Msg.t -> unit) ->
+  ?metrics:Ldlp_obs.Metrics.t ->
+  unit ->
+  'a t
+(** The receive chain: node [i] runs layer [i]'s [handle]; arrivals are
+    injected at node [0], whose quanta are batch-bounded, and the layer
+    furthest up wins.  [up] receives messages delivered above the top
+    layer, [down] every [Send_down]; a [Deliver_to] naming anything but
+    the next layer up is misrouted (a chain cannot demultiplex).
+    [on_handled layer_index layer msg] fires before each handler
+    invocation (the cycle-accurate model charges the memory system
+    there).  [intake_limit] bounds node [0]'s queue as in {!create}. *)
+
+val tx_chain :
+  discipline:discipline ->
+  layers:'a Layer.t list ->
+  ?wire:('a Msg.t -> unit) ->
+  ?up:('a Msg.t -> unit) ->
+  ?on_handled:(int -> 'a Layer.t -> 'a Msg.t -> unit) ->
+  ?on_consume:('a Msg.t -> unit) ->
+  ?intake_limit:int ->
+  ?on_shed:('a Msg.t -> unit) ->
+  ?metrics:Ldlp_obs.Metrics.t ->
+  unit ->
+  'a t
+(** The transmit chain, the receive chain's mirror — the paper notes its
+    techniques "are also applicable to transmit-side processing" but does
+    not evaluate them.  Node [i] runs layer [i]'s [handle_tx];
+    applications submit at the top node, [n - 1], whose quanta are
+    batch-bounded, and the layer closest to the wire wins.  [wire]
+    receives frames leaving below layer [0]; [up] receives any
+    [Deliver_up] or [Deliver_to] a transmit handler emits (e.g.
+    loopback).  [intake_limit] bounds the submission queue. *)
 
 (** {1 Full-duplex stacks}
 
@@ -197,7 +248,7 @@ val duplex :
 (** [layers] must be non-empty.  [up] receives messages delivered above
     the top receive layer; [wire] receives frames leaving below the
     bottom transmit layer (and any [Deliver_up] a transmit handler emits
-    goes to [up], as in {!Txsched}).  [metrics] needs [2n] rows: the
+    goes to [up], as in {!tx_chain}).  [metrics] needs [2n] rows: the
     receive rows first, then the transmit rows ({!duplex_layer_names}
     builds the names).  [intake_limit] bounds both entry queues. *)
 

@@ -16,13 +16,14 @@ type 'a action =
   | Deliver_up of 'a Msg.t
       (** Hand the (possibly transformed) message to the layer above, or to
           the stack's upward sink at the top layer.  In a protocol graph
-          ({!Graphsched}) this is only valid when the layer has exactly one
-          parent; demultiplexing layers use {!Deliver_to}. *)
+          this is only valid when the layer has exactly one parent;
+          demultiplexing layers use {!Deliver_to}. *)
   | Deliver_to of string * 'a Msg.t
       (** Hand the message to a specific layer above, by name — the
           demultiplexing step (e.g. IP choosing between TCP and UDP).
-          Only meaningful under {!Graphsched}; the linear schedulers treat
-          an unknown name as a protocol error and drop the message. *)
+          Only meaningful in a graph of {!Engine.add_node} nodes; the
+          linear chains treat any name but the next layer up as a
+          protocol error and drop the message. *)
   | Send_down of 'a Msg.t
       (** Emit a message toward the network (e.g. an acknowledgment).
           Receive-side scheduling forwards these to the stack's downward
@@ -73,8 +74,9 @@ type 'a t = {
   fp : footprint;
   handle : 'a Msg.t -> 'a action list;  (** Receive-side processing. *)
   handle_tx : 'a Msg.t -> 'a action list;
-      (** Transmit-side processing (encapsulation), used by {!Txsched}.
-          Defaults to passing the message down unchanged. *)
+      (** Transmit-side processing (encapsulation), used by transmit
+          nodes ({!Engine.tx_chain}).  Defaults to passing the message
+          down unchanged. *)
 }
 
 val v :

@@ -73,12 +73,8 @@ let connected_adj ~hosts adj =
   done;
   !count = hosts
 
-let generate ~hosts ~degree ~seed =
-  if hosts < 2 then invalid_arg "Topology.generate: hosts < 2";
-  if degree < 1 || degree >= hosts then
-    invalid_arg "Topology.generate: need 1 <= degree < hosts";
-  if (hosts * degree) mod 2 <> 0 then
-    invalid_arg "Topology.generate: hosts * degree must be even";
+(* Draw pairings until one is simple and connected. *)
+let sample ~hosts ~degree ~seed =
   let rng = Rng.create ~seed in
   let max_attempts = 10_000 in
   let rec draw k =
@@ -97,6 +93,26 @@ let generate ~hosts ~degree ~seed =
         else draw (k + 1)
   in
   draw 0
+
+(* The complete graph is the only simple graph of degree [hosts - 1],
+   and the pairing model almost never draws it, so it is built directly
+   (edges in canonical order). *)
+let complete ~hosts =
+  let degree = hosts - 1 in
+  let edges =
+    Array.concat
+      (List.init hosts (fun u ->
+           Array.init (hosts - 1 - u) (fun k -> (u, u + 1 + k))))
+  in
+  { hosts; degree; edges; adj = adjacency ~hosts ~degree edges }
+
+let generate ~hosts ~degree ~seed =
+  if hosts < 2 then invalid_arg "Topology.generate: hosts < 2";
+  if degree < 1 || degree >= hosts then
+    invalid_arg "Topology.generate: need 1 <= degree < hosts";
+  if (hosts * degree) mod 2 <> 0 then
+    invalid_arg "Topology.generate: hosts * degree must be even";
+  if degree = hosts - 1 then complete ~hosts else sample ~hosts ~degree ~seed
 
 let neighbors t h = t.adj.(h)
 

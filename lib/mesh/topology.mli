@@ -27,7 +27,9 @@ type t = private {
 val generate : hosts:int -> degree:int -> seed:int -> t
 (** Raises [Invalid_argument] unless [2 <= hosts], [1 <= degree < hosts]
     and [hosts * degree] is even (a [degree]-regular graph on [hosts]
-    vertices exists exactly under these conditions).  Degree 1 and 2 are
+    vertices exists exactly under these conditions).  Degree
+    [hosts - 1] yields the complete graph, the only one of that degree,
+    without drawing from [seed].  Degree 1 and 2 are
     accepted (a perfect matching / union of cycles) but may need many
     redraws to come out connected; the spread experiments use
     [degree >= 3], where almost every draw is already connected. *)

@@ -122,7 +122,7 @@ let transmit t frame =
 
 let stats t = t.s
 
-let service_into t sched ~wrap =
+let service_into t eng ~wrap =
   let frames = take_all t in
-  List.iter (fun f -> Ldlp_core.Sched.inject sched (wrap f)) frames;
+  List.iter (fun f -> Ldlp_core.Engine.inject eng ~node:0 (wrap f)) frames;
   List.length frames

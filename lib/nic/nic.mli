@@ -72,8 +72,9 @@ val stats : 'a t -> stats
 (** {1 Driver glue} *)
 
 val service_into :
-  'a t -> 'b Ldlp_core.Sched.t -> wrap:('a -> 'b Ldlp_core.Msg.t) -> int
-(** Move every buffered RX frame into a scheduler's bottom queue (the
-    device driver's "bottom half"); returns how many frames moved.  With
-    an LDLP discipline the scheduler then naturally processes them as a
-    batch. *)
+  'a t -> 'b Ldlp_core.Engine.t -> wrap:('a -> 'b Ldlp_core.Msg.t) -> int
+(** Move every buffered RX frame into an engine's receive entry, node [0]
+    of an {!Ldlp_core.Engine.rx_chain} or {!Ldlp_core.Engine.duplex}
+    (the device driver's "bottom half"); returns how many frames moved.
+    With an LDLP discipline the engine then naturally processes them as
+    a batch. *)

@@ -3,9 +3,9 @@
     [conns] independent echo exchanges; connection [k]'s client is group
     [2k], its server group [2k + 1].  Every endpoint owns a complete
     private stack — mbuf pool, message pool, {!Ldlp_tcpmini.Host},
-    {!Ldlp_core.Sched}, timer wheel and (optionally) a metric sheet —
-    so the {!Shard.Policy} is free to place the two ends of a connection
-    on different domains.  The wire is the {!Handoff}: a transmitted
+    {!Ldlp_core.Engine.rx_chain}, timer wheel and (optionally) a metric
+    sheet — so the {!Shard.Policy} is free to place the two ends of a
+    connection on different domains.  The wire is the {!Handoff}: a transmitted
     frame is serialised to bytes, its mbuf freed on the sending shard,
     and the receiving shard re-materialises it in its own pool — message
     records and mbufs never cross a domain.

@@ -245,7 +245,7 @@ let run_one ?(duplex = false) ~discipline sc =
       done
     | _ -> ()
   in
-  (* A node's scheduler is either the classic receive chain ([Sched],
+  (* A node's scheduler is either the classic receive chain ([rx_chain],
      app-built frames transmitted directly) or one full-duplex engine
      ([Host.duplex]): received frames enter the rx side, app-built frames
      are submitted at the tx entry and descend the transmit nodes before
@@ -263,41 +263,34 @@ let run_one ?(duplex = false) ~discipline sc =
       Mbuf.free pool m.Core.Msg.payload.Host.buf;
       Core.Msg.release mpool m
     in
-    let drive, emit, shed_count =
+    let eng, emit =
       if duplex then begin
         let eng =
           Host.duplex host ~discipline
             ~wire:(fun frame -> xmit nic frame)
             ?intake_limit:sc.intake_limit ~on_shed:shed ()
         in
-        let rx = Core.Engine.duplex_rx_entry eng
-        and tx = Core.Engine.duplex_tx_entry eng in
-        ( (fun nic ->
-            List.iter
-              (fun f -> Core.Engine.inject eng ~node:rx (wrap f))
-              (Nic.take_all nic);
-            Core.Engine.run eng),
-          (fun frame ->
+        let tx = Core.Engine.duplex_tx_entry eng in
+        ( eng,
+          fun frame ->
             Core.Engine.inject eng ~node:tx (wrap frame);
-            Core.Engine.run eng),
-          fun () -> (Core.Engine.stats eng).Core.Engine.shed )
+            Core.Engine.run eng )
       end
-      else begin
-        let sched =
-          Core.Sched.create ~discipline ~layers:(Host.layers host)
+      else
+        ( Core.Engine.rx_chain ~discipline ~layers:(Host.layers host)
             ~down:(fun m ->
               xmit nic m.Core.Msg.payload.Host.buf;
               Core.Msg.release mpool m)
             ~on_consume:(fun m -> Core.Msg.release mpool m)
-            ?intake_limit:sc.intake_limit ~on_shed:shed ()
-        in
-        ( (fun nic ->
-            ignore (Nic.service_into nic sched ~wrap);
-            Core.Sched.run sched),
-          (fun frame -> xmit nic frame),
-          fun () -> (Core.Sched.stats sched).Core.Sched.shed )
-      end
+            ?intake_limit:sc.intake_limit ~on_shed:shed (),
+          fun frame -> xmit nic frame )
     in
+    (* Both wirings take received frames at node 0. *)
+    let drive nic =
+      ignore (Nic.service_into nic eng ~wrap);
+      Core.Engine.run eng
+    in
+    let shed_count () = (Core.Engine.stats eng).Core.Engine.shed in
     let node =
       Netsim.add_node net ~name ~nic
         ~service:(fun nic ->
@@ -398,9 +391,9 @@ let run_one ?(duplex = false) ~discipline sc =
   }
 
 let run_scenario ?(duplex = false) sc =
-  let conventional = run_one ~duplex ~discipline:Core.Sched.Conventional sc in
+  let conventional = run_one ~duplex ~discipline:Core.Engine.Conventional sc in
   let ldlp =
-    run_one ~duplex ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) sc
+    run_one ~duplex ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) sc
   in
   let equivalent =
     conventional.completed && ldlp.completed && conventional.integrity
@@ -460,7 +453,7 @@ let loss_ladder ~seed ~rates =
         { id = 0; seed; plan; chunks = 32; chunk_bytes = 64;
           intake_limit = None; crash = [] }
       in
-      let o = run_one ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) sc in
+      let o = run_one ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) sc in
       {
         loss;
         goodput =

@@ -28,7 +28,7 @@ type scenario = {
   chunk_bytes : int;
   intake_limit : int option;
       (** Overload watermark for both hosts' schedulers (see
-          {!Ldlp_core.Sched.create}); shed frames must be recovered by
+          {!Ldlp_core.Engine.create}); shed frames must be recovered by
           retransmission like wire drops. *)
   crash : (float * float) list;
       (** Server crash/restart episodes [(down_at, up_at)), sorted and

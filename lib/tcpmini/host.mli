@@ -43,7 +43,7 @@ val create :
 
     [metrics] mirrors {!counters} as gated scalars ("frames_in",
     "non_ip", "non_tcp", "bad_ip", "delivered_bytes"); pass the same
-    sheet to the {!Ldlp_core.Sched} driving {!layers} to collect the
+    sheet to the {!Ldlp_core.Engine.rx_chain} driving {!layers} to collect the
     per-layer columns alongside. *)
 
 val listen : t -> port:int -> Pcb.t
@@ -51,8 +51,9 @@ val listen : t -> port:int -> Pcb.t
 
 val layers : t -> item Ldlp_core.Layer.t list
 (** The stack, bottom-first: ether, ip, tcp.  Feed frames with
-    [Sched.inject] (wrap them with {!wrap}); transmitted frames appear at
-    the scheduler's [down] sink as complete Ethernet frames. *)
+    [Engine.inject] at node [0] of an {!Ldlp_core.Engine.rx_chain} (wrap
+    them with {!wrap}); transmitted frames appear at the engine's [down]
+    sink as complete Ethernet frames. *)
 
 val wrap : t -> Ldlp_buf.Mbuf.t -> item
 
@@ -74,7 +75,7 @@ val duplex :
     while draining a receive batch cross into the transmit nodes of the
     {e same} scheduling pass, so a receive batch's ACKs descend as one
     transmit batch (cross-direction amortisation).  The wire frames are
-    byte-identical to the {!layers}-under-{!Ldlp_core.Sched}
+    byte-identical to the {!layers}-under-{!Ldlp_core.Engine.rx_chain}
     arrangement.  [metrics] needs [2n] rows named by
     {!Ldlp_core.Engine.duplex_layer_names}.
 

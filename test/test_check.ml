@@ -122,7 +122,7 @@ let test_sched_equivalence_fixed () =
   | Error e -> Alcotest.fail e
 
 let test_sched_trace_shape () =
-  let t = Sched_oracle.run_spec Ldlp_core.Sched.Conventional paper_spec in
+  let t = Sched_oracle.run_spec Ldlp_core.Engine.Conventional paper_spec in
   (* Msg 0 is divisible by 3, so layer 2 consumes it: visits 0,1,2. *)
   Alcotest.(check (list int)) "consumed at layer 2" [ 0; 1; 2 ] t.Sched_oracle.visits.(0);
   (* Msg 1 passes everything: all five layers. *)
@@ -151,8 +151,8 @@ let prop_sched_conservation =
           let t = Sched_oracle.run_spec d spec in
           Sched_oracle.conserved t.Sched_oracle.stats ~pending:0)
         [
-          Ldlp_core.Sched.Conventional;
-          Ldlp_core.Sched.Ldlp spec.Sched_oracle.policy;
+          Ldlp_core.Engine.Conventional;
+          Ldlp_core.Engine.Ldlp spec.Sched_oracle.policy;
         ])
 
 (* ---------- Invariant (LDLP_CHECK hot-path assertions) ---------- *)
@@ -185,49 +185,36 @@ let test_invariants_pass_on_sched () =
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
 
-let test_invariants_pass_on_runtime () =
-  with_invariants (fun () ->
-      let pool = Ldlp_buf.Pool.create () in
-      let layers =
-        List.init 3 (fun i ->
-            Ldlp_core.Layer.passthrough (Printf.sprintf "L%d" i))
-      in
-      let workload =
-        List.init 200 (fun i ->
-            { Ldlp_core.Runtime.at = float_of_int i *. 1e-3; size = 552; flow = 0 })
-      in
-      let r =
-        Ldlp_core.Runtime.run
-          ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
-          ~layers
-          ~make_payload:(fun ~size ->
-            Ldlp_buf.Mbuf.of_bytes pool (Bytes.create (min size 1024)))
-          ~buffer_cap:20
-          ~service:(fun ~batch:_ _ -> 0.002)
-          workload
-      in
-      check "overload exercised drops" true (r.Ldlp_core.Runtime.dropped > 0))
-
 let test_invariants_pass_on_simrun () =
   (* The cycle-accurate model under LDLP_CHECK=1: the hot-path assertions
-     must hold through a real (small) simulation of each discipline. *)
+     must hold through a real (small) simulation of each discipline, and
+     through an overloaded LDLP run whose small buffer drops arrivals. *)
   with_invariants (fun () ->
+      let module Simrun = Ldlp_model.Simrun in
       let params =
         { Ldlp_model.Params.quick with Ldlp_model.Params.runs = 1; seconds = 0.02 }
       in
+      let run ?(params = params) ~rate discipline =
+        Simrun.run_avg ~params ~discipline ~seed:3
+          ~make_source:(fun rng ->
+            Ldlp_traffic.Source.limit_time
+              (Ldlp_traffic.Poisson.source ~rng ~rate ())
+              params.Ldlp_model.Params.seconds)
+          ()
+      in
       List.iter
         (fun discipline ->
-          let r =
-            Ldlp_model.Simrun.run_avg ~params ~discipline ~seed:3
-              ~make_source:(fun rng ->
-                Ldlp_traffic.Source.limit_time
-                  (Ldlp_traffic.Poisson.source ~rng ~rate:4000.0 ())
-                  params.Ldlp_model.Params.seconds)
-              ()
-          in
           check "simulation processed messages" true
-            (r.Ldlp_model.Simrun.processed > 0))
-        [ Ldlp_model.Simrun.Conventional; Ldlp_model.Simrun.Ilp; Ldlp_model.Simrun.Ldlp ])
+            ((run ~rate:4000.0 discipline).Simrun.processed > 0))
+        [ Simrun.Conventional; Simrun.Ilp; Simrun.Ldlp ];
+      let r =
+        run
+          ~params:{ params with Ldlp_model.Params.buffer_cap = 20 }
+          ~rate:40_000.0 Simrun.Ldlp
+      in
+      check "overload exercised drops" true (r.Simrun.dropped > 0);
+      checki "every arrival processed or dropped" r.Simrun.offered
+        (r.Simrun.processed + r.Simrun.dropped))
 
 (* ---------- Observability differential: metric sheet vs memsys probe ----------
 
@@ -341,8 +328,6 @@ let suite =
     Alcotest.test_case "invariant gate" `Quick test_invariant_gate;
     Alcotest.test_case "invariants pass on sched oracle" `Quick
       test_invariants_pass_on_sched;
-    Alcotest.test_case "invariants pass on runtime" `Quick
-      test_invariants_pass_on_runtime;
     Alcotest.test_case "invariants pass on simrun" `Slow
       test_invariants_pass_on_simrun;
     Alcotest.test_case "obs counters match memsys probe" `Quick

@@ -1,18 +1,18 @@
-(* Engine-level tests: the facade-stats projection property (satellite of
-   the engine unification — Sched/Txsched/Graphsched stats must be exact
-   projections of the underlying Engine stats on random stacks under both
-   disciplines), transmit-side intake shedding, the full-duplex
-   topology (same-pass ACK drainage, conservation, shedding at both
-   entries), the node ring against [Stdlib.Queue], the precomputed
-   schedule against a scan-every-node reference, batch-policy validation
-   and the zero-allocation quantum pins. *)
+(* Engine-level tests: conservation of both chains on random stacks
+   under both disciplines and intake limits, transmit-side intake
+   shedding, the full-duplex topology (same-pass ACK drainage,
+   conservation, shedding at both entries), the node ring against
+   [Stdlib.Queue], the precomputed schedule against a scan-every-node
+   reference, batch-policy validation, the zero-allocation quantum pins,
+   and protocol graphs built node by node with {!Engine.add_node}
+   ([graph_suite]). *)
 
 open Ldlp_core
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* ---------- random stacks for the projection property ---------- *)
+(* ---------- random stacks for the chain conservation property ---------- *)
 
 type case = {
   behs : int list;  (* per-layer behaviour selector, bottom-first *)
@@ -40,13 +40,13 @@ let arb_case = QCheck.make ~print:pp_case gen_case
 
 let discipline_of c =
   match c.disc with
-  | 0 -> Sched.Conventional
-  | 1 -> Sched.Ldlp Batch.All
-  | _ -> Sched.Ldlp Batch.paper_default
+  | 0 -> Engine.Conventional
+  | 1 -> Engine.Ldlp Batch.All
+  | _ -> Engine.Ldlp Batch.paper_default
 
 (* Handlers are deterministic functions of the payload (the injection
-   index), as in the oracle, so conventional and blocked runs — and the
-   facade and engine views of one run — describe the same work. *)
+   index), as in the oracle, so conventional and blocked runs describe
+   the same work. *)
 let rx_layer i beh =
   let name = Printf.sprintf "l%d" i in
   let handle m =
@@ -87,94 +87,54 @@ let rx_layer i beh =
 let case_msgs c =
   List.init c.nmsgs (fun i -> Msg.make ~flow:(i mod 3) ~size:(32 * (i mod 4)) i)
 
-let prop_sched_projection c =
+(* At idle each chain accounts for every offered message: accepted or
+   shed, every acceptance batched once at the entry and handled there,
+   and each ending in one terminal action ([Send_down] replies on the
+   receive side and [Deliver_up] loopbacks on the transmit side are
+   fresh messages). *)
+let prop_chain_conservation c =
   let layers = List.mapi rx_layer c.behs in
-  let sched =
-    Sched.create ~discipline:(discipline_of c) ~layers ?intake_limit:c.limit ()
+  let drive eng ~entry =
+    List.iteri
+      (fun i m ->
+        ignore (Engine.try_inject eng ~node:entry m);
+        if i mod 5 = 4 then ignore (Engine.step eng))
+      (case_msgs c);
+    Engine.run eng;
+    let s = Engine.stats eng in
+    ( s,
+      Engine.pending eng = 0
+      && s.Engine.injected + s.Engine.shed = c.nmsgs
+      && s.Engine.total_batched = s.Engine.injected
+      && (s.Engine.batches = 0 || s.Engine.max_batch >= 1)
+      && snd (List.nth s.Engine.per_node entry) = s.Engine.injected )
   in
-  List.iteri
-    (fun i m ->
-      ignore (Sched.try_inject sched m);
-      if i mod 5 = 4 then ignore (Sched.step sched))
-    (case_msgs c);
-  Sched.run sched;
-  let f = Sched.stats sched in
-  let e = Engine.stats (Sched.engine sched) in
-  f.Sched.injected = e.Engine.injected
-  && f.Sched.delivered = e.Engine.to_up
-  && f.Sched.sent_down = e.Engine.to_down
-  && f.Sched.consumed = e.Engine.consumed
-  && f.Sched.misrouted = e.Engine.misrouted
-  && f.Sched.shed = e.Engine.shed
-  && f.Sched.batches = e.Engine.batches
-  && f.Sched.max_batch = e.Engine.max_batch
-  && f.Sched.total_batched = e.Engine.total_batched
-  && f.Sched.per_layer = e.Engine.per_node
-
-let prop_tx_projection c =
-  let layers = List.mapi rx_layer c.behs in
-  let tx =
-    Txsched.create ~discipline:(discipline_of c) ~layers
-      ?intake_limit:c.limit ()
+  let discipline = discipline_of c in
+  let rx, rx_ok =
+    drive
+      (Engine.rx_chain ~discipline ~layers ?intake_limit:c.limit ())
+      ~entry:0
   in
-  List.iteri
-    (fun i m ->
-      ignore (Txsched.try_inject tx m);
-      if i mod 5 = 4 then ignore (Txsched.step tx))
-    (case_msgs c);
-  Txsched.run tx;
-  let f = Txsched.stats tx in
-  let e = Engine.stats (Txsched.engine tx) in
-  f.Txsched.submitted = e.Engine.injected
-  && f.Txsched.transmitted = e.Engine.to_down
-  && f.Txsched.looped_up = e.Engine.to_up
-  && f.Txsched.consumed = e.Engine.consumed
-  && f.Txsched.shed = e.Engine.shed
-  && f.Txsched.batches = e.Engine.batches
-  && f.Txsched.max_batch = e.Engine.max_batch
-  && f.Txsched.total_batched = e.Engine.total_batched
-  && f.Txsched.per_layer = e.Engine.per_node
-
-let prop_graph_projection c =
-  let g =
-    Graphsched.create ~discipline:(discipline_of c) ?intake_limit:c.limit ()
+  let tx, tx_ok =
+    drive
+      (Engine.tx_chain ~discipline ~layers ?intake_limit:c.limit ())
+      ~entry:(List.length layers - 1)
   in
-  let layers = Array.of_list (List.mapi rx_layer c.behs) in
-  let n = Array.length layers in
-  (* Register the chain top-down, as Graphsched requires. *)
-  for i = n - 1 downto 0 do
-    let above = if i = n - 1 then [] else [ layers.(i + 1).Layer.name ] in
-    Graphsched.add_layer g ~above layers.(i)
-  done;
-  let entry = layers.(0).Layer.name in
-  List.iteri
-    (fun i m ->
-      ignore (Graphsched.try_inject g ~into:entry m);
-      if i mod 5 = 4 then ignore (Graphsched.step g))
-    (case_msgs c);
-  Graphsched.run g;
-  let f = Graphsched.stats g in
-  let e = Engine.stats (Graphsched.engine g) in
-  f.Graphsched.injected = e.Engine.injected
-  && f.Graphsched.delivered = e.Engine.to_up
-  && f.Graphsched.sent_down = e.Engine.to_down
-  && f.Graphsched.consumed = e.Engine.consumed
-  && f.Graphsched.misrouted = e.Engine.misrouted
-  && f.Graphsched.shed = e.Engine.shed
-  && f.Graphsched.batches = e.Engine.batches
-  && f.Graphsched.max_batch = e.Engine.max_batch
-  && f.Graphsched.total_batched = e.Engine.total_batched
-  && f.Graphsched.per_layer = e.Engine.per_node
+  rx_ok && tx_ok
+  && rx.Engine.injected
+     = rx.Engine.to_up + rx.Engine.consumed + rx.Engine.misrouted
+  && tx.Engine.injected = tx.Engine.to_down + tx.Engine.consumed
+  && tx.Engine.misrouted = 0
 
 (* ---------- transmit-side intake shedding ---------- *)
 
-(* Mirror of test_core's [test_intake_shedding] for the transmit facade
+(* Mirror of test_core's [test_intake_shedding] for the transmit chain
    (submission-queue high-watermark). *)
 let test_tx_intake_shedding () =
   let shed_ids = ref [] in
   let wired = ref [] in
   let tx =
-    Txsched.create ~discipline:Sched.Conventional
+    Engine.tx_chain ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "l0"; Layer.passthrough "l1" ]
       ~wire:(fun m -> wired := m.Msg.id :: !wired)
       ~intake_limit:3
@@ -183,7 +143,7 @@ let test_tx_intake_shedding () =
   in
   let results =
     List.map
-      (fun m -> (m.Msg.id, Txsched.try_inject tx m))
+      (fun m -> (m.Msg.id, Engine.try_inject tx ~node:1 m))
       (List.init 5 (fun i -> Msg.make ~size:10 i))
   in
   checki "watermark admits 3" 3 (List.length (List.filter snd results));
@@ -191,25 +151,25 @@ let test_tx_intake_shedding () =
   Alcotest.(check (list bool))
     "first-come first-served" [ true; true; true; false; false ]
     (List.map snd results);
-  let st = Txsched.stats tx in
-  checki "stats.shed" 2 st.Txsched.shed;
-  (* Shed submissions never enter the chain: submitted counts only the
+  let st = Engine.stats tx in
+  checki "stats.shed" 2 st.Engine.shed;
+  (* Shed submissions never enter the chain: injected counts only the
      accepted three. *)
-  checki "shed not counted submitted" 3 st.Txsched.submitted;
-  Txsched.run tx;
+  checki "shed not counted submitted" 3 st.Engine.injected;
+  Engine.run tx;
   checki "accepted messages all transmitted" 3 (List.length !wired);
-  checki "nothing shed mid-run" 2 (Txsched.stats tx).Txsched.shed;
+  checki "nothing shed mid-run" 2 (Engine.stats tx).Engine.shed;
   (* Draining the submission queue reopens the intake. *)
-  check "room after run" true (Txsched.try_inject tx (Msg.make ~size:10 9));
+  check "room after run" true (Engine.try_inject tx ~node:1 (Msg.make ~size:10 9));
   (* Without a limit try_inject never refuses. *)
   let open_tx =
-    Txsched.create ~discipline:(Sched.Ldlp Batch.All)
+    Engine.tx_chain ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0" ]
       ()
   in
   check "unlimited intake" true
     (List.for_all Fun.id
-       (List.init 100 (fun i -> Txsched.try_inject open_tx (Msg.make i))))
+       (List.init 100 (fun i -> Engine.try_inject open_tx ~node:0 (Msg.make i))))
 
 (* ---------- full-duplex topology ---------- *)
 
@@ -220,18 +180,25 @@ let test_duplex_layer_names () =
     (Engine.duplex_layer_names [ "a"; "b" ])
 
 let test_duplex_entries () =
-  let eng =
-    Engine.duplex ~discipline:Sched.Conventional
-      ~layers:[ Layer.passthrough "a"; Layer.passthrough "b"; Layer.passthrough "c" ]
-      ()
+  let layers =
+    [ Layer.passthrough "a"; Layer.passthrough "b"; Layer.passthrough "c" ]
   in
+  let eng = Engine.duplex ~discipline:Engine.Conventional ~layers () in
   checki "2n nodes" 6 (Engine.node_count eng);
   checki "rx entry is node 0" 0 (Engine.duplex_rx_entry eng);
   checki "tx entry is node 2n-1" 5 (Engine.duplex_tx_entry eng);
-  check "rx entry flagged" true (Engine.is_entry eng 0);
-  check "tx entry flagged" true (Engine.is_entry eng 5);
-  check "mid nodes are not entries" true
-    (List.for_all (fun i -> not (Engine.is_entry eng i)) [ 1; 2; 3; 4 ]);
+  (* Under [Fixed 1] an entry node yields after one message while any
+     other node runs to completion: one quantum at each entry leaves one
+     of two messages queued there. *)
+  let eng = Engine.duplex ~discipline:(Engine.Ldlp (Batch.Fixed 1)) ~layers () in
+  List.iter
+    (fun node ->
+      Engine.inject eng ~node (Msg.make 0);
+      Engine.inject eng ~node (Msg.make 1);
+      ignore (Engine.step eng);
+      checki "entry quantum takes one" 1 (Engine.backlog eng ~node);
+      Engine.run eng)
+    [ Engine.duplex_tx_entry eng; Engine.duplex_rx_entry eng ];
   Alcotest.(check (list string))
     "node names follow duplex_layer_names"
     (Engine.duplex_layer_names [ "a"; "b"; "c" ])
@@ -241,7 +208,7 @@ let test_duplex_conservation () =
   let up = ref [] in
   let wire = ref [] in
   let eng =
-    Engine.duplex ~discipline:(Sched.Ldlp Batch.All)
+    Engine.duplex ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0"; Layer.passthrough "l1" ]
       ~up:(fun m -> up := m.Msg.payload :: !up)
       ~wire:(fun m -> wire := m.Msg.payload :: !wire)
@@ -276,7 +243,7 @@ let test_duplex_same_pass_acks () =
           Layer.Deliver_up m ])
   in
   let eng =
-    Engine.duplex ~discipline:(Sched.Ldlp Batch.All)
+    Engine.duplex ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0"; top ]
       ~wire:(fun m -> wire := m.Msg.payload :: !wire)
       ()
@@ -309,7 +276,7 @@ let test_duplex_same_pass_acks () =
 let test_duplex_shed_both_entries () =
   let shed = ref 0 in
   let eng =
-    Engine.duplex ~discipline:Sched.Conventional
+    Engine.duplex ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "l0" ]
       ~intake_limit:2
       ~on_shed:(fun _ -> incr shed)
@@ -331,7 +298,7 @@ let test_duplex_shed_both_entries () =
 
 let test_duplex_metrics_rows () =
   let eng =
-    Engine.duplex ~discipline:Sched.Conventional
+    Engine.duplex ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "a"; Layer.passthrough "b" ]
       ()
   in
@@ -353,7 +320,7 @@ let test_bad_policy_rejected () =
       (Printf.sprintf "%s rejects Fixed %d" what k)
       true
       (try
-         build (Sched.Ldlp (Batch.Fixed k));
+         build (Engine.Ldlp (Batch.Fixed k));
          false
        with Invalid_argument _ -> true)
   in
@@ -362,19 +329,17 @@ let test_bad_policy_rejected () =
     (fun k ->
       rejects "Engine.create" k (fun discipline ->
           ignore (Engine.create ~discipline ()));
-      rejects "Sched" k (fun discipline ->
-          ignore (Sched.create ~discipline ~layers ()));
-      rejects "Txsched" k (fun discipline ->
-          ignore (Txsched.create ~discipline ~layers ()));
-      rejects "Graphsched" k (fun discipline ->
-          ignore (Graphsched.create ~discipline ()));
+      rejects "Engine.rx_chain" k (fun discipline ->
+          ignore (Engine.rx_chain ~discipline ~layers ()));
+      rejects "Engine.tx_chain" k (fun discipline ->
+          ignore (Engine.tx_chain ~discipline ~layers ()));
       rejects "Engine.duplex" k (fun discipline ->
           ignore (Engine.duplex ~discipline ~layers ())))
     [ 0; -1 ];
-  let s = Sched.create ~discipline:(Sched.Ldlp (Batch.Fixed 1)) ~layers () in
-  Sched.inject s (Msg.make 0);
-  Sched.run s;
-  checki "Fixed 1 is accepted and runs" 1 (Sched.stats s).Sched.delivered
+  let s = Engine.rx_chain ~discipline:(Engine.Ldlp (Batch.Fixed 1)) ~layers () in
+  Engine.inject s ~node:0 (Msg.make 0);
+  Engine.run s;
+  checki "Fixed 1 is accepted and runs" 1 (Engine.stats s).Engine.to_up
 
 (* ---------- the node ring, through inject / step / backlog ---------- *)
 
@@ -553,7 +518,7 @@ let sched_actions ~named i (m : sp Msg.t) =
 
 type node_spec = {
   prio : int;
-  first_entry : bool;
+  entry : bool;
   up_to : int;
   down_to : int;
   named : int;  (* the node its [Deliver_to] names *)
@@ -571,7 +536,7 @@ let target_of r =
 let to_route_of name =
   Engine.To_node (int_of_string (String.sub name 1 (String.length name - 1)))
 
-type sop = Add | Inject of int * int | Step | Flip of int
+type sop = Add | Inject of int * int | Step
 
 type sched_case = {
   specs : node_spec list;
@@ -597,7 +562,7 @@ let pp_sched_case c =
        (List.map
           (fun s ->
             Printf.sprintf "p%d%s u%s d%s n%d" s.prio
-              (if s.first_entry then "e" else "")
+              (if s.entry then "e" else "")
               (r s.up_to) (r s.down_to) s.named)
           c.specs))
     (String.concat " "
@@ -605,8 +570,7 @@ let pp_sched_case c =
           (function
             | Add -> "A"
             | Inject (k, id) -> Printf.sprintf "I%d:%d" k id
-            | Step -> "S"
-            | Flip k -> Printf.sprintf "F%d" k)
+            | Step -> "S")
           c.ops))
 
 let gen_sched_case =
@@ -624,8 +588,8 @@ let gen_sched_case =
       (List.map
          (fun prio ->
            map4
-             (fun first_entry up_to down_to named ->
-               { prio; first_entry; up_to; down_to; named })
+             (fun entry up_to down_to named ->
+               { prio; entry; up_to; down_to; named })
              (frequency [ (1, return true); (2, return false) ])
              route route node)
          prios)
@@ -639,7 +603,6 @@ let gen_sched_case =
            (5, map2 (fun k sid -> Inject (k, sid)) (int_bound 11)
                  (int_bound 999));
            (3, return Step);
-           (1, map (fun k -> Flip k) (int_bound 11));
          ])
     >>= fun rest ->
     int_range 0 3 >>= fun sdisc ->
@@ -668,7 +631,7 @@ let run_engine c =
            ~layer:
              (Layer.v ~name:(Printf.sprintf "n%d" i)
                 (sched_actions ~named:s.named i))
-           ~use_tx:false ~priority:s.prio ~entry:s.first_entry
+           ~use_tx:false ~priority:s.prio ~entry:s.entry
            ~up_route:(target_of s.up_to) ~to_route:to_route_of
            ~down_route:(target_of s.down_to))
     end
@@ -680,9 +643,6 @@ let run_engine c =
       Engine.inject e ~node:(k mod n)
         (Msg.make ~size:(mix sid 5 mod 900) { sid; hops = 0 })
     | Step -> ignore (Engine.step e)
-    | Flip k ->
-      let k = k mod Engine.node_count e in
-      Engine.set_entry e k (not (Engine.is_entry e k))
   in
   let raised =
     try
@@ -698,7 +658,7 @@ let run_engine c =
    routes are looked up by index each time they are taken. *)
 type ref_node = {
   r_prio : int;
-  mutable r_entry : bool;
+  r_entry : bool;
   r_up : int;
   r_down : int;
   r_q : sp Msg.t Queue.t;
@@ -776,7 +736,7 @@ let run_reference c =
         let s = specs.(i) in
         nodes :=
           Array.append !nodes
-            [| { r_prio = s.prio; r_entry = s.first_entry; r_up = s.up_to;
+            [| { r_prio = s.prio; r_entry = s.entry; r_up = s.up_to;
                  r_down = s.down_to; r_q = Queue.create () } |]
       end
     | Inject (k, sid) ->
@@ -784,9 +744,6 @@ let run_reference c =
         (Msg.make ~size:(mix sid 5 mod 900) { sid; hops = 0 })
         !nodes.(k mod count ()).r_q
     | Step -> ignore (step ())
-    | Flip k ->
-      let n = !nodes.(k mod count ()) in
-      n.r_entry <- not n.r_entry
   in
   let raised =
     try
@@ -827,6 +784,227 @@ let test_unadded_route_raises () =
       checki "delivered once node 1 exists" 1 (Engine.stats e).Engine.to_up)
     [ Engine.Conventional; Engine.Ldlp Batch.paper_default ]
 
+(* ---------- protocol graphs, node by node ---------- *)
+
+(* Section 3.2's general case: a layer may have several layers directly
+   above it (IP demultiplexing to TCP, UDP and ICMP).  [layers] lists
+   each layer with the names of its parents, top-down, so every parent
+   comes first.  Depth is the distance from the top and priority its
+   negation (the layer furthest from the entry points wins, ties to
+   registration order); a layer nobody lists as a parent is an entry
+   point.  [Deliver_up] goes to the only parent, or the up sink at the
+   top, and is misrouted under fan-out; [Deliver_to] may name any parent.
+   Returns the engine and a name-to-node lookup. *)
+let graph ~discipline ?on_consume ?intake_limit ?on_shed layers =
+  let e = Engine.create ~discipline ?on_consume ?intake_limit ?on_shed () in
+  let index = List.mapi (fun i (l, _) -> (l.Layer.name, i)) layers in
+  let node name = List.assoc name index in
+  let depths = ref [] in
+  List.iter
+    (fun (layer, above) ->
+      let depth =
+        List.fold_left (fun d p -> Int.min d (1 + List.assoc p !depths))
+          (if above = [] then 0 else max_int) above
+      in
+      depths := (layer.Layer.name, depth) :: !depths;
+      let routes = List.map (fun p -> (p, Engine.To_node (node p))) above in
+      let entry =
+        not (List.exists (fun (_, a) -> List.mem layer.Layer.name a) layers)
+      in
+      ignore
+        (Engine.add_node e ~layer ~use_tx:false ~priority:(-depth) ~entry
+           ~up_route:
+             (match routes with
+             | [] -> Engine.To_up
+             | [ (_, r) ] -> r
+             | _ :: _ :: _ -> Engine.Misroute)
+           ~to_route:(fun name ->
+             match List.assoc name routes with
+             | r -> r
+             | exception Not_found -> Engine.Misroute)
+           ~down_route:Engine.To_down))
+    layers;
+  (e, node)
+
+(* A classic internet graph:
+
+        sockets
+        /     \
+      tcp     udp     icmp
+        \      |      /
+             ip
+             |
+           ether
+
+   Payloads are (proto, id) pairs; the ip layer demultiplexes on proto. *)
+let build ~discipline =
+  let log = ref [] in
+  let seen name msg = log := (name, snd msg.Msg.payload) :: !log in
+  let consume name =
+    Layer.v ~name (fun m ->
+        seen name m;
+        [ Layer.Consume ])
+  in
+  let pass name targets =
+    Layer.v ~name (fun m ->
+        seen name m;
+        match targets with
+        | `Up -> [ Layer.Deliver_up m ]
+        | `Demux f -> [ Layer.Deliver_to (f m, m) ])
+  in
+  let g, node =
+    graph ~discipline
+      [
+        (consume "sockets", []);
+        (pass "tcp" `Up, [ "sockets" ]);
+        (pass "udp" `Up, [ "sockets" ]);
+        (consume "icmp", []);
+        (pass "ip" (`Demux (fun m -> fst m.Msg.payload)), [ "tcp"; "udp"; "icmp" ]);
+        (pass "ether" `Up, [ "ip" ]);
+      ]
+  in
+  (g, node "ether", log)
+
+let msg proto id = Msg.make ~size:100 (proto, id)
+
+let test_demux_routes () =
+  let g, ether, log = build ~discipline:Engine.Conventional in
+  Engine.inject g ~node:ether (msg "tcp" 1);
+  Engine.inject g ~node:ether (msg "udp" 2);
+  Engine.inject g ~node:ether (msg "icmp" 3);
+  Engine.run g;
+  let path id =
+    List.rev (List.filter_map (fun (l, i) -> if i = id then Some l else None) !log)
+  in
+  Alcotest.(check (list string)) "tcp path" [ "ether"; "ip"; "tcp"; "sockets" ] (path 1);
+  Alcotest.(check (list string)) "udp path" [ "ether"; "ip"; "udp"; "sockets" ] (path 2);
+  Alcotest.(check (list string)) "icmp path" [ "ether"; "ip"; "icmp" ] (path 3);
+  let s = Engine.stats g in
+  checki "all consumed" 3 s.Engine.consumed;
+  checki "no misroutes" 0 s.Engine.misrouted
+
+let test_ldlp_blocked_over_graph () =
+  let g, ether, log = build ~discipline:(Engine.Ldlp Batch.All) in
+  (* Two messages per branch, injected interleaved. *)
+  List.iter
+    (Engine.inject g ~node:ether)
+    [ msg "tcp" 1; msg "udp" 2; msg "tcp" 3; msg "udp" 4 ];
+  Engine.run g;
+  (* Layer-major order: ether handles all four, then ip all four, then the
+     branch layers each handle their pair. *)
+  let order = List.rev_map fst !log in
+  let prefix = [ "ether"; "ether"; "ether"; "ether"; "ip"; "ip"; "ip"; "ip" ] in
+  let rec take n = function
+    | [] -> []
+    | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
+  in
+  Alcotest.(check (list string)) "blocked prefix" prefix (take 8 order);
+  let s = Engine.stats g in
+  checki "4 consumed" 4 s.Engine.consumed
+
+let test_priority_branch_closest_to_top_first () =
+  (* Once ether's batch is enqueued at ip and processed, tcp and udp
+     queues (depth 1) must drain before ether (depth 2) takes another
+     batch. *)
+  let g, ether, log = build ~discipline:(Engine.Ldlp (Batch.Fixed 2)) in
+  List.iter
+    (Engine.inject g ~node:ether)
+    [ msg "tcp" 1; msg "udp" 2; msg "tcp" 3; msg "udp" 4 ];
+  Engine.run g;
+  let order = List.rev_map fst !log in
+  (* First quantum: ether x2; then ip x2, branches, sockets — and only
+     then ether again. *)
+  let first_8 =
+    let rec take n = function
+      | [] -> []
+      | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
+    in
+    take 8 order
+  in
+  check "second ether batch comes after upper layers drained" true
+    (match first_8 with
+    | "ether" :: "ether" :: rest ->
+      (* No further "ether" until everything enqueued upward is done. *)
+      let upper, _later = List.partition (fun l -> l <> "ether") rest in
+      List.length upper >= 5
+    | _ -> false)
+
+let test_ambiguous_deliver_up_misroutes () =
+  (* "fan" has two parents and wrongly uses Deliver_up. *)
+  let g, node =
+    graph ~discipline:Engine.Conventional
+      [
+        (Layer.passthrough "a", []);
+        (Layer.passthrough "b", []);
+        (Layer.passthrough "fan", [ "a"; "b" ]);
+      ]
+  in
+  Engine.inject g ~node:(node "fan") (Msg.make ());
+  Engine.run g;
+  let s = Engine.stats g in
+  checki "misrouted" 1 s.Engine.misrouted;
+  checki "not delivered" 0 s.Engine.to_up
+
+let test_deliver_to_non_edge_misroutes () =
+  let g, node =
+    graph ~discipline:Engine.Conventional
+      [
+        (Layer.passthrough "top", []);
+        ( Layer.v ~name:"bottom" (fun m -> [ Layer.Deliver_to ("nowhere", m) ]),
+          [ "top" ] );
+      ]
+  in
+  Engine.inject g ~node:(node "bottom") (Msg.make ());
+  Engine.run g;
+  checki "misrouted" 1 (Engine.stats g).Engine.misrouted
+
+let prop_graph_conservation =
+  QCheck.Test.make ~name:"graph delivers every message exactly once" ~count:100
+    QCheck.(pair (list_of_size Gen.(0 -- 40) (int_bound 2)) bool)
+    (fun (protos, ldlp) ->
+      let discipline =
+        if ldlp then Engine.Ldlp Batch.paper_default else Engine.Conventional
+      in
+      let g, ether, _ = build ~discipline in
+      let expected_consumed = List.length protos in
+      List.iteri
+        (fun i p ->
+          let proto = [| "tcp"; "udp"; "icmp" |].(p) in
+          Engine.inject g ~node:ether (msg proto i))
+        protos;
+      Engine.run g;
+      let s = Engine.stats g in
+      s.Engine.consumed = expected_consumed
+      && s.Engine.misrouted = 0
+      && Engine.pending g = 0)
+
+let test_graph_intake_shedding () =
+  let shed_ids = ref [] in
+  let g, node =
+    graph ~discipline:Engine.Conventional ~intake_limit:2
+      ~on_shed:(fun m -> shed_ids := snd m.Msg.payload :: !shed_ids)
+      [
+        (Layer.v ~name:"top" (fun _ -> [ Layer.Consume ]), []);
+        (Layer.v ~name:"ether" (fun m -> [ Layer.Deliver_up m ]), [ "top" ]);
+      ]
+  in
+  let ether = node "ether" in
+  let results =
+    List.init 5 (fun i -> Engine.try_inject g ~node:ether (msg "tcp" i))
+  in
+  Alcotest.(check (list bool))
+    "watermark admits the first 2" [ true; true; false; false; false ] results;
+  Alcotest.(check (list int)) "refused ids to on_shed" [ 2; 3; 4 ]
+    (List.rev !shed_ids);
+  let st = Engine.stats g in
+  checki "stats.shed" 3 st.Engine.shed;
+  checki "shed not counted injected" 2 st.Engine.injected;
+  Engine.run g;
+  let st = Engine.stats g in
+  checki "accepted all consumed" 2 st.Engine.consumed;
+  check "drained queue reopens intake" true
+    (Engine.try_inject g ~node:ether (msg "tcp" 9))
+
 (* ---------- steady-state quantum allocates nothing ---------- *)
 
 (* The whole point of the pooled hot path: once the pool, the ring
@@ -860,7 +1038,7 @@ let with_invariants_off f =
   Fun.protect ~finally:(fun () -> Invariant.set_enabled was) f
 
 let disciplines =
-  [ Sched.Conventional; Sched.Ldlp Batch.All; Sched.Ldlp Batch.paper_default ]
+  [ Engine.Conventional; Engine.Ldlp Batch.All; Engine.Ldlp Batch.paper_default ]
 
 let test_zero_alloc_quantum () =
   let run_discipline discipline =
@@ -872,16 +1050,16 @@ let test_zero_alloc_quantum () =
       ]
     in
     let mpool = Msg.pool () in
-    let sched =
-      Sched.create ~discipline ~layers
+    let eng =
+      Engine.rx_chain ~discipline ~layers
         ~on_consume:(fun m -> Msg.release mpool m)
         ()
     in
-    assert_alloc_free "Sched" (fun () ->
+    assert_alloc_free "rx_chain" (fun () ->
         for _ = 1 to batch do
-          Sched.inject sched (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
+          Engine.inject eng ~node:0 (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
         done;
-        Sched.run sched)
+        Engine.run eng)
   in
   with_invariants_off (fun () -> List.iter run_discipline disciplines)
 
@@ -929,38 +1107,40 @@ let test_zero_alloc_duplex () =
 let test_zero_alloc_demux () =
   let run_discipline discipline =
     let mpool = Msg.pool () in
-    let g =
-      Graphsched.create ~discipline
-        ~on_consume:(fun m -> Msg.release mpool m)
-        ()
-    in
     let sink name = Layer.v ~name (fun _ -> Layer.consume_only) in
-    Graphsched.add_layer g (sink "tcp");
-    Graphsched.add_layer g (sink "udp");
     let to_tcp = memo_actions (fun m -> [ Layer.Deliver_to ("tcp", m) ])
     and to_udp = memo_actions (fun m -> [ Layer.Deliver_to ("udp", m) ]) in
-    Graphsched.add_layer g ~above:[ "tcp"; "udp" ]
-      (Layer.v ~name:"ip" (fun m ->
-           if m.Msg.flow land 1 = 0 then to_tcp m else to_udp m));
+    let g, node =
+      graph ~discipline
+        ~on_consume:(fun m -> Msg.release mpool m)
+        [
+          (sink "tcp", []);
+          (sink "udp", []);
+          ( Layer.v ~name:"ip" (fun m ->
+                if m.Msg.flow land 1 = 0 then to_tcp m else to_udp m),
+            [ "tcp"; "udp" ] );
+        ]
+    in
+    let ip = node "ip" in
     let k = ref 0 in
-    assert_alloc_free "Graphsched demux" (fun () ->
+    assert_alloc_free "graph demux" (fun () ->
         for _ = 1 to batch do
           (* The flow is set in place: [~flow] would box a [Some]. *)
           let m = Msg.acquire mpool ~arrival:0.0 ~size:64 0 in
           incr k;
           m.Msg.flow <- !k;
-          Graphsched.inject g ~into:"ip" m
+          Engine.inject g ~node:ip m
         done;
-        Graphsched.run g);
-    let st = Graphsched.stats g in
+        Engine.run g);
+    let st = Engine.stats g in
     checki "every message demultiplexed" ((4 + quanta) * batch)
-      st.Graphsched.consumed;
-    checki "none misrouted" 0 st.Graphsched.misrouted;
+      st.Engine.consumed;
+    checki "none misrouted" 0 st.Engine.misrouted;
     Alcotest.(check (list (pair string int)))
       "both branches taken"
       [ ("tcp", (4 + quanta) * batch / 2); ("udp", (4 + quanta) * batch / 2);
         ("ip", (4 + quanta) * batch) ]
-      st.Graphsched.per_layer
+      st.Engine.per_node
   in
   with_invariants_off (fun () -> List.iter run_discipline disciplines)
 
@@ -969,14 +1149,8 @@ let qcheck t = QCheck_alcotest.to_alcotest t
 let suite =
   [
     qcheck
-      (QCheck.Test.make ~name:"Sched stats project Engine stats" ~count:150
-         arb_case prop_sched_projection);
-    qcheck
-      (QCheck.Test.make ~name:"Txsched stats project Engine stats" ~count:150
-         arb_case prop_tx_projection);
-    qcheck
-      (QCheck.Test.make ~name:"Graphsched stats project Engine stats"
-         ~count:150 arb_case prop_graph_projection);
+      (QCheck.Test.make ~name:"chains conserve messages under limits"
+         ~count:450 arb_case prop_chain_conservation);
     Alcotest.test_case "tx intake shedding" `Quick test_tx_intake_shedding;
     Alcotest.test_case "duplex layer names" `Quick test_duplex_layer_names;
     Alcotest.test_case "duplex entries" `Quick test_duplex_entries;
@@ -991,7 +1165,7 @@ let suite =
       test_zero_alloc_quantum;
     Alcotest.test_case "zero-alloc duplex Send_down" `Quick
       test_zero_alloc_duplex;
-    Alcotest.test_case "zero-alloc Graphsched Deliver_to" `Quick
+    Alcotest.test_case "zero-alloc graph Deliver_to" `Quick
       test_zero_alloc_demux;
     Alcotest.test_case "bad batch policy rejected" `Quick
       test_bad_policy_rejected;
@@ -1018,4 +1192,17 @@ let suite =
          ~count:500 arb_sched_case prop_schedule_matches_reference);
     Alcotest.test_case "route to unadded node raises" `Quick
       test_unadded_route_raises;
+  ]
+
+let graph_suite =
+  [
+    Alcotest.test_case "intake shedding" `Quick test_graph_intake_shedding;
+    Alcotest.test_case "demux routes" `Quick test_demux_routes;
+    Alcotest.test_case "ldlp blocked over graph" `Quick test_ldlp_blocked_over_graph;
+    Alcotest.test_case "branch priority" `Quick
+      test_priority_branch_closest_to_top_first;
+    Alcotest.test_case "ambiguous deliver_up" `Quick
+      test_ambiguous_deliver_up_misroutes;
+    Alcotest.test_case "deliver_to non-edge" `Quick test_deliver_to_non_edge_misroutes;
+    QCheck_alcotest.to_alcotest prop_graph_conservation;
   ]

@@ -11,7 +11,7 @@ let () =
       ("core", Test_core.suite);
       ("msgpool", Test_msgpool.suite);
       ("engine", Test_engine.suite);
-      ("graphsched", Test_graphsched.suite);
+      ("graphsched", Test_engine.graph_suite);
       ("nic", Test_nic.suite);
       ("flowtable", Test_flowtable.suite);
       ("tcpmini", Test_tcpmini.suite);

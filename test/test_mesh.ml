@@ -31,20 +31,35 @@ let arb_topo_params =
     ~print:(fun (h, d, s) -> Printf.sprintf "hosts=%d degree=%d seed=%d" h d s)
     gen
 
+let well_formed (hosts, degree, seed) =
+  let t = Topology.generate ~hosts ~degree ~seed in
+  let degs = Array.make hosts 0 in
+  Array.iter
+    (fun (u, v) ->
+      degs.(u) <- degs.(u) + 1;
+      degs.(v) <- degs.(v) + 1)
+    t.Topology.edges;
+  Array.for_all (( = ) degree) degs
+  && Array.length t.Topology.edges = hosts * degree / 2
+  && Array.for_all (fun (u, v) -> u < v) t.Topology.edges
+  && Topology.is_connected t
+
 let prop_topology_well_formed =
   QCheck.Test.make ~name:"topology: connected, degree-exact, canonical"
-    ~count:150 arb_topo_params (fun (hosts, degree, seed) ->
-      let t = Topology.generate ~hosts ~degree ~seed in
-      let degs = Array.make hosts 0 in
-      Array.iter
-        (fun (u, v) ->
-          degs.(u) <- degs.(u) + 1;
-          degs.(v) <- degs.(v) + 1)
-        t.Topology.edges;
-      Array.for_all (( = ) degree) degs
-      && Array.length t.Topology.edges = hosts * degree / 2
-      && Array.for_all (fun (u, v) -> u < v) t.Topology.edges
-      && Topology.is_connected t)
+    ~count:150 arb_topo_params well_formed
+
+(* Degree [hosts - 1] admits only the complete graph, which the pairing
+   sampler almost never draws: (6, 5, 4852) once exhausted its 10,000
+   attempts.  [generate] builds K(n) directly. *)
+let test_topology_complete_graph () =
+  checkb "K6, seed 4852" true (well_formed (6, 5, 4852));
+  List.iter
+    (fun hosts ->
+      checkb
+        (Printf.sprintf "K%d" hosts)
+        true
+        (well_formed (hosts, hosts - 1, hosts)))
+    [ 2; 3; 4; 5; 7; 12 ]
 
 let prop_topology_deterministic =
   QCheck.Test.make ~name:"topology: same seed, same graph" ~count:100
@@ -455,6 +470,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_directed_index;
     Alcotest.test_case "topology rejects infeasible params" `Quick
       test_topology_rejects_infeasible;
+    Alcotest.test_case "topology: complete graph at degree hosts-1" `Quick
+      test_topology_complete_graph;
     Alcotest.test_case "render is byte-identical across runs" `Quick
       test_render_byte_identical;
     Alcotest.test_case "render is domain-count invariant" `Quick

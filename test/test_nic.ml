@@ -132,8 +132,8 @@ let test_nic_service_into_sched () =
   done;
   let delivered = ref [] in
   let sched =
-    Ldlp_core.Sched.create
-      ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    Ldlp_core.Engine.rx_chain
+      ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
       ~layers:[ Ldlp_core.Layer.passthrough "l1"; Ldlp_core.Layer.passthrough "l2" ]
       ~up:(fun m -> delivered := m.Ldlp_core.Msg.payload :: !delivered)
       ()
@@ -142,13 +142,13 @@ let test_nic_service_into_sched () =
     Nic.service_into nic sched ~wrap:(fun i -> Ldlp_core.Msg.make ~size:64 i)
   in
   checki "all frames moved" 10 moved;
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run sched;
   Alcotest.(check (list int))
     "delivered in order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (List.rev !delivered);
   (* The batch the scheduler saw came from the ring occupancy. *)
-  let st = Ldlp_core.Sched.stats sched in
-  check "batched" true (st.Ldlp_core.Sched.max_batch >= 8)
+  let st = Ldlp_core.Engine.stats sched in
+  check "batched" true (st.Ldlp_core.Engine.max_batch >= 8)
 
 let suite =
   [

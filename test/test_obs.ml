@@ -285,14 +285,14 @@ let test_sched_records () =
         Metrics.create ~label:"sched" ~layer_names:[ "P0"; "P1"; "P2" ]
       in
       let sched =
-        Ldlp_core.Sched.create
-          ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+        Ldlp_core.Engine.rx_chain
+          ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
           ~layers:(passthrough_layers 3) ~metrics:m ()
       in
       for _ = 1 to 10 do
-        Ldlp_core.Sched.inject sched (Ldlp_core.Msg.make ~size:552 ())
+        Ldlp_core.Engine.inject sched ~node:0 (Ldlp_core.Msg.make ~size:552 ())
       done;
-      Ldlp_core.Sched.run sched;
+      Ldlp_core.Engine.run sched;
       checki "arrivals recorded" 10 (Metrics.messages m);
       let t = Metrics.totals m in
       checki "every layer handled every message" 30 t.Metrics.t_handled;
@@ -304,7 +304,7 @@ let test_sched_rejects_bad_sheet () =
   check "layer-count mismatch rejected" true
     (try
        ignore
-         (Ldlp_core.Sched.create ~discipline:Ldlp_core.Sched.Conventional
+         (Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
             ~layers:(passthrough_layers 3) ~metrics:m ());
        false
      with Invalid_argument _ -> true)
@@ -334,53 +334,57 @@ let test_zero_alloc_recorders () =
         Alcotest.failf "disabled recorders allocated %.0f minor words" dw;
       checki "and recorded nothing" 0 (Metrics.totals m).Metrics.t_handled)
 
-(* End-to-end: a ~10k-message Runtime run with a (gate-off) sheet attached
+(* End-to-end: a ~10k-message Simrun run with a (gate-off) sheet attached
    must allocate no more minor words than the identical run with no sheet
-   at all — instrumentation that is "off" is provably free.  Fresh pool
-   per run so the allocator work is identical; one warmup run per variant
+   at all — instrumentation that is "off" is provably free.  Same seeds
+   per run so the simulated work is identical; one warmup run per variant
    absorbs one-time setup (scalar registration on the sheet). *)
-let runtime_run metrics =
-  let pool = Ldlp_buf.Pool.create () in
-  let rng = Ldlp_sim.Rng.create ~seed:7 in
-  let workload =
-    Ldlp_core.Runtime.poisson_workload ~rng ~rate:10_000.0 ~duration:1.0
-      ~size:552
-  in
-  Ldlp_core.Runtime.run
-    ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
-    ~layers:(passthrough_layers 3)
-    ~make_payload:(fun ~size -> Ldlp_buf.Mbuf.of_bytes pool (Bytes.create size))
-    ?metrics workload
+let simrun_params = { Ldlp_model.Params.quick with Ldlp_model.Params.seconds = 2.0 }
 
-let test_zero_alloc_runtime () =
+let simrun_sheet label =
+  Metrics.create ~label ~layer_names:(Ldlp_model.Simrun.layer_names simrun_params)
+
+let simrun_run metrics =
+  let seconds = simrun_params.Ldlp_model.Params.seconds in
+  let source =
+    Ldlp_traffic.Source.limit_time
+      (Ldlp_traffic.Poisson.source ~rng:(Ldlp_sim.Rng.create ~seed:7)
+         ~rate:5_000.0 ())
+      seconds
+  in
+  Ldlp_model.Simrun.run_once ~params:simrun_params
+    ~discipline:Ldlp_model.Simrun.Ldlp ~rng:(Ldlp_sim.Rng.create ~seed:8)
+    ~source ?metrics ()
+
+let test_zero_alloc_simrun () =
   Obs.with_enabled false (fun () ->
-      let m = Metrics.create ~label:"off" ~layer_names:[ "P0"; "P1"; "P2" ] in
-      ignore (runtime_run None);
-      ignore (runtime_run (Some m));
+      let m = simrun_sheet "off" in
+      ignore (simrun_run None);
+      ignore (simrun_run (Some m));
       let w0 = Gc.minor_words () in
-      let r_none = runtime_run None in
+      let r_none = simrun_run None in
       let w1 = Gc.minor_words () in
-      let r_some = runtime_run (Some m) in
+      let r_some = simrun_run (Some m) in
       let w2 = Gc.minor_words () in
       let d_none = w1 -. w0 and d_some = w2 -. w1 in
       check "runs saw real traffic" true
-        (r_none.Ldlp_core.Runtime.processed > 9_000);
-      checki "identical behaviour" r_none.Ldlp_core.Runtime.processed
-        r_some.Ldlp_core.Runtime.processed;
+        (r_none.Ldlp_model.Simrun.processed > 9_000);
+      checki "identical behaviour" r_none.Ldlp_model.Simrun.processed
+        r_some.Ldlp_model.Simrun.processed;
       if d_some > d_none then
         Alcotest.failf
           "metrics-off run allocated %.0f extra minor words over %d messages"
-          (d_some -. d_none) r_some.Ldlp_core.Runtime.processed;
+          (d_some -. d_none) r_some.Ldlp_model.Simrun.processed;
       checki "sheet stayed empty" 0 (Metrics.messages m))
 
 (* And the same sheet actually fills up when the gate is on — the off-run
    above is silent because of the gate, not because the wiring is dead. *)
-let test_runtime_records_when_on () =
+let test_simrun_records_when_on () =
   Obs.with_enabled true (fun () ->
-      let m = Metrics.create ~label:"on" ~layer_names:[ "P0"; "P1"; "P2" ] in
-      let r = runtime_run (Some m) in
+      let m = simrun_sheet "on" in
+      let r = simrun_run (Some m) in
       checki "arrivals = offered - dropped"
-        (r.Ldlp_core.Runtime.offered - r.Ldlp_core.Runtime.dropped)
+        (r.Ldlp_model.Simrun.offered - r.Ldlp_model.Simrun.dropped)
         (Metrics.messages m);
       check "latency samples" true
         (Histogram.count (Metrics.latency_hist m) > 0);
@@ -410,7 +414,7 @@ let suite =
     Alcotest.test_case "zero allocation: raw recorders off" `Quick
       test_zero_alloc_recorders;
     Alcotest.test_case "zero allocation: runtime with sheet off" `Quick
-      test_zero_alloc_runtime;
+      test_zero_alloc_simrun;
     Alcotest.test_case "runtime records when on" `Quick
-      test_runtime_records_when_on;
+      test_simrun_records_when_on;
   ]

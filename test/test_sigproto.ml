@@ -854,7 +854,7 @@ let run_stack ?(after = []) ~discipline frames =
   let st = Layers.stack ~pool ~switch:sw () in
   let downs = ref [] in
   let sched =
-    Ldlp_core.Sched.create ~discipline ~layers:st.Layers.layers
+    Ldlp_core.Engine.rx_chain ~discipline ~layers:st.Layers.layers
       ~down:(fun m -> downs := m.Ldlp_core.Msg.payload :: !downs)
       ()
   in
@@ -864,12 +864,12 @@ let run_stack ?(after = []) ~discipline frames =
       List.iter
         (fun (port, payload) ->
           let m = Layers.frame ~pool ~port payload in
-          Ldlp_core.Sched.inject sched
+          Ldlp_core.Engine.inject sched ~node:0
             (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m)))
         frames;
-      Ldlp_core.Sched.run sched)
+      Ldlp_core.Engine.run sched)
     [ frames; after ];
-  (sw, st, List.rev !downs, Ldlp_core.Sched.stats sched)
+  (sw, st, List.rev !downs, Ldlp_core.Engine.stats sched)
 
 (* Frames from one caller share a transmit-side SSCOP so sequence numbers
    advance as the stack's receive side expects. *)
@@ -882,20 +882,20 @@ let setup_frames ~port ~count addr =
 let test_layers_end_to_end () =
   let frame = List.hd (setup_frames ~port:1 ~count:1 "b:1") in
   let sw, _st, downs, stats =
-    run_stack ~discipline:Ldlp_core.Sched.Conventional [ frame ]
+    run_stack ~discipline:Ldlp_core.Engine.Conventional [ frame ]
   in
   checki "one call" 1 (Switch.active_calls sw);
   checki "setup routed" 1 (Switch.stats sw).Switch.setups_routed;
   (* Downward: 1 sscop ack + CALL_PROCEEDING + forwarded SETUP. *)
   checki "three transmissions" 3 (List.length downs);
-  checki "no drops" 1 stats.Ldlp_core.Sched.injected
+  checki "no drops" 1 stats.Ldlp_core.Engine.injected
 
 let test_layers_no_acks_option () =
   let sw = make_switch () in
   let st = Layers.stack ~pool ~switch:sw ~acks:false () in
   let downs = ref 0 in
   let sched =
-    Ldlp_core.Sched.create ~discipline:Ldlp_core.Sched.Conventional
+    Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
       ~layers:st.Layers.layers
       ~down:(fun _ -> incr downs)
       ()
@@ -903,9 +903,9 @@ let test_layers_no_acks_option () =
   let frame = List.hd (setup_frames ~port:1 ~count:1 "b:1") in
   let port, bytes = frame in
   let m = Layers.frame ~pool ~port bytes in
-  Ldlp_core.Sched.inject sched
+  Ldlp_core.Engine.inject sched ~node:0
     (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m));
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run sched;
   (* Without sscop acks: only CALL_PROCEEDING + forwarded SETUP. *)
   checki "two transmissions, no ack" 2 !downs
 
@@ -944,9 +944,9 @@ let tx_frames downs =
     downs
 
 let test_layers_ldlp_equals_conventional () =
-  let ldlp = Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default in
+  let ldlp = Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default in
   let frames = setup_frames ~port:1 ~count:20 "b:1" in
-  let sw1, _, downs1, _ = run_stack ~discipline:Ldlp_core.Sched.Conventional frames in
+  let sw1, _, downs1, _ = run_stack ~discipline:Ldlp_core.Engine.Conventional frames in
   let sw2, _, downs2, _ = run_stack ~discipline:ldlp frames in
   checki "twenty calls either way" 20 (Switch.active_calls sw1);
   checki "same calls" (Switch.active_calls sw1) (Switch.active_calls sw2);
@@ -974,7 +974,7 @@ let test_layers_ldlp_equals_conventional () =
       [ 1; 2 ];
     tx_frames downs
   in
-  let conv = run Ldlp_core.Sched.Conventional and batched = run ldlp in
+  let conv = run Ldlp_core.Engine.Conventional and batched = run ldlp in
   (* Per call: 6 replies and 5 SSCOP acks. *)
   checki "frames sent" (11 * calls) (List.length conv);
   check "same frames" true (List.sort compare conv = List.sort compare batched);
@@ -1002,8 +1002,8 @@ let test_signalling_alloc_pin () =
   let st = Layers.stack ~pool ~switch () in
   let sent = ref 0 in
   let eng =
-    Ldlp_core.Sched.create
-      ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    Ldlp_core.Engine.rx_chain
+      ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
       ~layers:st.Layers.layers
       ~down:(fun _ -> incr sent)
       ()
@@ -1039,8 +1039,8 @@ let test_signalling_alloc_pin () =
   let round ~measured =
     let batch = lifecycles 128 in
     let before = Gc.minor_words () in
-    Array.iter (Ldlp_core.Sched.inject eng) batch;
-    Ldlp_core.Sched.run eng;
+    Array.iter (Ldlp_core.Engine.inject eng ~node:0) batch;
+    Ldlp_core.Engine.run eng;
     let delta = Gc.minor_words () -. before in
     if measured then begin
       words := !words +. delta;
@@ -1174,23 +1174,23 @@ let prop_decoders_survive_damage =
         let switch = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
         let st = Layers.stack ~pool ~switch () in
         let sched =
-          Ldlp_core.Sched.create ~discipline ~layers:st.Layers.layers ~down:ignore ()
+          Ldlp_core.Engine.rx_chain ~discipline ~layers:st.Layers.layers ~down:ignore ()
         in
         never_raises "Layers.stack" (fun () ->
             List.iter
               (fun (_, _, _, bad) ->
                 let m = Layers.frame ~pool ~port:1 bad in
-                Ldlp_core.Sched.inject sched
+                Ldlp_core.Engine.inject sched ~node:0
                   (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m)))
               frames;
-            Ldlp_core.Sched.run sched)
+            Ldlp_core.Engine.run sched)
         &&
         let ps = Ldlp_buf.Pool.stats pool in
         ps.Ldlp_buf.Pool.small_in_use + ps.Ldlp_buf.Pool.cluster_in_use = 0
       in
       codecs_ok
-      && stack_ok Ldlp_core.Sched.Conventional
-      && stack_ok (Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default))
+      && stack_ok Ldlp_core.Engine.Conventional
+      && stack_ok (Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default))
 
 let prop_sscop_survives_bytes =
   QCheck.Test.make ~name:"sscop parse/receive survive arbitrary bytes" ~count:300
